@@ -13,7 +13,7 @@ from .harness import (BoundRow, ExperimentConfig, bounds, emit_report,
                       run_experiment)
 from .locate import locate_det, locate_det_dist, locate_det_subset, locate_rand
 from .oracle import (EQUAL, GREATER, LESS, TARGET, ComparisonQuery,
-                     HiddenInstance, OracleSession, RankQuery, open_session,
+                     HiddenInstance, RankQuery, Session, open_session,
                      random_instance)
 from .rank_sort import forced_query_count, sort_rank, sorting_lower_bound
 from .reductions import (ordered_to_locate_adapter, run_reduction,
@@ -26,7 +26,7 @@ __all__ = [
     "BoundRow", "ExperimentConfig", "bounds", "emit_report", "run_experiment",
     "locate_det", "locate_det_dist", "locate_det_subset", "locate_rand",
     "EQUAL", "GREATER", "LESS", "TARGET", "ComparisonQuery", "HiddenInstance",
-    "OracleSession", "RankQuery", "open_session", "random_instance",
+    "RankQuery", "Session", "open_session", "random_instance",
     "forced_query_count", "sort_rank", "sorting_lower_bound",
     "ordered_to_locate_adapter", "run_reduction", "sort_via_cake",
     "unordered_to_select_adapter",

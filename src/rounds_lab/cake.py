@@ -6,6 +6,10 @@ her private window [a_i, b_i], the group splits at order statistics of the
 marks, and after the last round each agent keeps a slice worth at least
 1/n to her. All arithmetic is exact and the proportionality check carries
 no tolerance.
+
+Division queries go through the shared round-limited `Session` (exported
+here under its division name `CakeSession`); `DensityBackend` answers them
+from actual densities.
 """
 
 from bisect import bisect_left, bisect_right
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .oracle import RoundLimitExceeded, build_transcript
+from .oracle import Session as CakeSession
 from .util import ceil_kth_root
 
 
@@ -105,16 +109,6 @@ class PiecewiseDensity:
         return Fraction(num * bden + self._bpn[i] * den, den * bden)
 
 
-def eval_query(density, y):
-    """Value of [0, y], exactly."""
-    return density.prefix(y)
-
-
-def cut_query(density, alpha):
-    """Leftmost y with value of [0, y] equal to alpha."""
-    return density.cut(alpha)
-
-
 @dataclass(frozen=True)
 class Allocation:
     """Contiguous slices tiling [0, 1] left to right, one owner each."""
@@ -147,39 +141,6 @@ def verify_proportional(allocation, agents):
         values.append(d.prefix(hi) - d.prefix(lo))
     share = Fraction(1, n)
     return all(v >= share for v in values), values
-
-
-class CakeSession:
-    """Batched mark/value queries against a pluggable answering backend."""
-
-    def __init__(self, backend, k_limit):
-        if k_limit < 1:
-            raise ValueError("k_limit must be at least 1")
-        self.backend = backend
-        self.k_limit = k_limit
-        self._batches = []
-        self._total = 0
-
-    @property
-    def rounds_used(self):
-        return len(self._batches)
-
-    @property
-    def total_queries(self):
-        return self._total
-
-    def submit_round(self, queries):
-        if len(self._batches) >= self.k_limit:
-            raise RoundLimitExceeded(
-                "already used %d of %d rounds" % (len(self._batches), self.k_limit))
-        queries = tuple(queries)
-        answers = tuple(self.backend.answer_batch(queries))
-        self._batches.append((queries, answers))
-        self._total += len(queries)
-        return list(answers)
-
-    def transcript(self):
-        return build_transcript(self._batches, self.k_limit, self._total)
 
 
 class DensityBackend:

@@ -61,11 +61,16 @@ def exact_budget():
 def bounds(n, k, p):
     """Closed-form reference bounds for an (n, k, p) triple.
 
-    thm1: randomized rank-promise search band  n*p*(k+1)/(2k) +- 1
-    thm2: deterministic rank-promise search band  n*p*(1 - p*(k-1)/(2k)) +- 1
-    thm3: randomized element-promise search scale  k*p*n**(1/k)
-    thm4: distribution-aware element-promise scale  k*p**(1/k)*n**(1/k)
-    thm5: sorting floor  (k/2e)*n**(1+1/k) - k*n
+    thm1: randomized Select (unordered search, rank promise)
+          n*p*(k+1)/(2k) +- 1
+    thm2: deterministic Select (unordered search, uniform target)
+          n*p*(1 - p*(k-1)/(2k)) +- 1
+    thm3: randomized Locate (ordered search, element promise)
+          k*p*n**(1/k)
+    thm4: deterministic Locate (ordered search, uniform target)
+          k*p**(1/k)*n**(1/k)
+    thm5: sorting floor (rank queries)
+          (k/2e)*n**(1+1/k) - k*n
     """
     p = Fraction(p)
     c1 = Fraction(n) * p * Fraction(k + 1, 2 * k)
@@ -206,7 +211,8 @@ def _run_locate(cfg):
     m, ci = _mean_ci(counts)
     succ = hits / cfg.trials
     # the coin-gated search runs over all n candidates, so its expected
-    # cost is capped by thm3 = p * k * ceil(n**(1/k)), not the subset cap
+    # cost is judged against thm3, randomized Locate (ordered search,
+    # element promise) = k*p*n**(1/k), not the subset cap
     ok = (abs(succ - float(p)) <= 3 * _sem(p, cfg.trials) + 1e-9
           and m <= b["thm3"] + 3 * ci / 1.96 + 1e-9)
     return [_row(cfg, b, m, ci, succ, ok)]

@@ -16,15 +16,6 @@ from .util import bernoulli, ceil_kth_root, ceil_log2, normalized_weights
 
 
 @dataclass(frozen=True)
-class BlockPlan:
-    """Probe thresholds for one round over the rank interval [lo, hi]."""
-
-    lo: int
-    hi: int
-    probes: tuple
-
-
-@dataclass(frozen=True)
 class RankDistribution:
     """Probability that the promised element holds each rank 1..n."""
 
@@ -55,12 +46,6 @@ def probe_positions(count, rounds_left):
         positions.append(at)
         at += 1
     return positions
-
-
-def block_plan(lo, hi, rounds_left):
-    """Probe plan for the contiguous rank interval [lo, hi]."""
-    offs = probe_positions(hi - lo + 1, rounds_left)
-    return BlockPlan(lo=lo, hi=hi, probes=tuple(lo + i for i in offs))
 
 
 def locate_det_subset(session, n, k, ranks):

@@ -1,9 +1,14 @@
-"""Round-disciplined oracle over a hidden permutation.
+"""Round-disciplined sessions and the hidden-permutation oracle.
 
-Queries are submitted in batches and a batch is answered as a whole, so a
-query can only depend on answers from strictly earlier batches. Submitting
-a batch consumes one round even when the batch is empty, and a repeated
-query is charged every time it appears.
+Every model here is the same interaction: a `Session` accepts at most
+k_limit batches of queries and hands each batch as a whole to its backend,
+so a query can only depend on answers from strictly earlier batches.
+Submitting a batch consumes one round even when the batch is empty, a
+repeated query is charged every time it appears, and a batch the backend
+rejects consumes nothing. Backends answer through `answer_batch(queries)`:
+`HiddenInstance` (rank and comparison queries over a fixed permutation),
+the sorting opponent `rank_sort.AdversaryState`, and the division backends
+`cake.DensityBackend` and `reductions.AdversaryCakeBackend`.
 """
 
 from collections import namedtuple
@@ -80,72 +85,23 @@ class HiddenInstance:
             raise ValueError("instance has no promised element")
         return self.ranks[self.target_index - 1]
 
-
-@dataclass(frozen=True)
-class RoundTranscript:
-    rounds: tuple  # one entry per batch: tuple of (query, answer) pairs
-    k_limit: int
-    total_queries: int
-
-    @property
-    def round_sizes(self):
-        return tuple(len(batch) for batch in self.rounds)
-
-
-def build_transcript(batches, k_limit, total):
-    rounds = tuple(tuple(zip(qs, ans)) for qs, ans in batches)
-    return RoundTranscript(rounds=rounds, k_limit=k_limit, total_queries=total)
-
-
-class OracleSession:
-    """Answers query batches about one hidden instance, up to k_limit rounds.
-
-    Single-owner: a session must not be shared by concurrently running
-    algorithms. Independent sessions are fully isolated.
-    """
-
-    def __init__(self, instance, k_limit):
-        if k_limit < 1:
-            raise ValueError("k_limit must be at least 1")
-        self.instance = instance
-        self.k_limit = k_limit
-        self._batches = []  # (queries tuple, answers tuple) per round
-        self._total = 0
-
-    @property
-    def rounds_used(self):
-        return len(self._batches)
-
-    @property
-    def total_queries(self):
-        return self._total
-
-    @property
-    def promised_rank(self):
-        return self.instance.target_rank
-
     def _resolve(self, ref):
         if ref.__class__ is int:
-            if not 1 <= ref <= self.instance.n:
+            if not 1 <= ref <= self.n:
                 raise MalformedQuery("item index out of range: %r" % (ref,))
             return ref
         if ref == TARGET:
-            ti = self.instance.target_index
+            ti = self.target_index
             if ti is None:
                 raise MalformedQuery("no promised element to refer to")
             return ti
         raise MalformedQuery("bad item reference: %r" % (ref,))
 
-    def submit_round(self, queries):
+    def answer_batch(self, queries):
         """Answer one batch; every answer is a function of the instance only."""
-        if len(self._batches) >= self.k_limit:
-            raise RoundLimitExceeded(
-                "already used %d of %d rounds" % (len(self._batches), self.k_limit))
-        queries = tuple(queries)
-        inst = self.instance
-        ranks = inst.ranks
+        ranks = self.ranks
         n = len(ranks)
-        ti = inst.target_index
+        ti = self.target_index
         answers = []
         append = answers.append
         for q in queries:
@@ -169,33 +125,67 @@ class OracleSession:
                 append(LESS if a < b else EQUAL if a == b else GREATER)
             else:
                 raise MalformedQuery("unknown query type: %r" % (q,))
-        answers = tuple(answers)
+        return answers
+
+
+@dataclass(frozen=True)
+class RoundTranscript:
+    rounds: tuple  # one entry per batch: tuple of (query, answer) pairs
+    k_limit: int
+    total_queries: int
+
+    @property
+    def round_sizes(self):
+        return tuple(len(batch) for batch in self.rounds)
+
+
+class Session:
+    """Answers query batches from one backend, up to k_limit rounds.
+
+    Single-owner: a session must not be shared by concurrently running
+    algorithms. Independent sessions are fully isolated.
+    """
+
+    def __init__(self, backend, k_limit):
+        if k_limit < 1:
+            raise ValueError("k_limit must be at least 1")
+        self.backend = backend
+        self.k_limit = k_limit
+        self._batches = []  # (queries tuple, answers tuple) per round
+        self._total = 0
+
+    @property
+    def rounds_used(self):
+        return len(self._batches)
+
+    @property
+    def total_queries(self):
+        return self._total
+
+    @property
+    def promised_rank(self):
+        return self.backend.target_rank
+
+    def submit_round(self, queries):
+        """Answer one batch through the backend, charging one round."""
+        if len(self._batches) >= self.k_limit:
+            raise RoundLimitExceeded(
+                "already used %d of %d rounds" % (len(self._batches), self.k_limit))
+        queries = tuple(queries)
+        answers = tuple(self.backend.answer_batch(queries))
         self._batches.append((queries, answers))
         self._total += len(queries)
         return list(answers)
 
     def transcript(self):
-        return build_transcript(self._batches, self.k_limit, self._total)
+        rounds = tuple(tuple(zip(qs, ans)) for qs, ans in self._batches)
+        return RoundTranscript(rounds=rounds, k_limit=self.k_limit,
+                               total_queries=self._total)
 
 
 def open_session(instance, k_limit):
     """Start a fresh session over the instance; k_limit must be positive."""
-    return OracleSession(instance, k_limit)
-
-
-def binary_rank_le(instance, item, threshold):
-    """The weaker query form: is rank(item) <= threshold?"""
-    return instance.rank_of(item) <= threshold
-
-
-def three_way_via_binary(instance, item, threshold):
-    """Answer a three-way rank query from two binary probes (at threshold
-    and threshold - 1)."""
-    if binary_rank_le(instance, item, threshold - 1):
-        return LESS
-    if binary_rank_le(instance, item, threshold):
-        return EQUAL
-    return GREATER
+    return Session(instance, k_limit)
 
 
 def answers_consistent(transcript, instance):

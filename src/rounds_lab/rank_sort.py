@@ -7,20 +7,20 @@ thresholds (all m - 1 inner ranks on the last round), so blocks shrink
 fast enough to finish inside the budget with at most 2*k*n**(1+1/k)
 queries.
 
-The opponent answers batches without fixing a permutation up front. Inside
-each undetermined stretch it finds the largest x such that x items carry
-no probes among the x lowest ranks, silently packs those items at the
-bottom, names the item just above them, and repeats on the rest within the
-same round. Everything it says stays consistent with at least one total
-order, which forces any correct sorter to pay for the separations it
-needs.
+The opponent (`AdversaryState`, a session backend) answers batches
+without fixing a permutation up front. Inside each undetermined stretch it
+finds the largest x such that x items carry no probes among the x lowest
+ranks, silently packs those items at the bottom, names the item just above
+them, and repeats on the rest within the same round. Everything it says
+stays consistent with at least one total order, which forces any correct
+sorter to pay for the separations it needs.
 """
 
 from dataclasses import dataclass, field
 from math import e
 
 from .oracle import (EQUAL, GREATER, LESS, MalformedQuery, RankQuery,
-                     RoundLimitExceeded, build_transcript, compare)
+                     Session, compare)
 from .util import ceil_div, ceil_kth_root
 
 
@@ -101,9 +101,11 @@ class AdversaryState:
     """Order commitments made so far; always realizable by a permutation."""
 
     n: int
-    resolved: dict = field(default_factory=dict)   # item -> committed rank
-    segments: list = field(default_factory=list)   # open Segments, disjoint
-    round_log: list = field(default_factory=list)  # queries seen per round
+    resolved: dict = field(default_factory=dict)  # item -> committed rank
+    segments: list = field(default_factory=list)  # open Segments, disjoint
+
+    def answer_batch(self, queries):
+        return adversary_round(self, queries)
 
 
 def new_adversary(n):
@@ -170,8 +172,6 @@ def _carve(state, items, lo, hi, local, answers):
 
 def adversary_round(state, queries):
     """Answer one batch while committing as little order as possible."""
-    queries = list(queries)
-    state.round_log.append(list(queries))
     answers = [None] * len(queries)
     by_segment = {}
     for pos, q in enumerate(queries):
@@ -212,44 +212,13 @@ def consistent_witness(state):
     return tuple(ranks[i] for i in range(1, state.n + 1))
 
 
-class AdversarySession:
-    """Session facade whose answers come from the opponent, so sorting
-    algorithms run against it unchanged."""
-
-    def __init__(self, n, k_limit):
-        if k_limit < 1:
-            raise ValueError("k_limit must be at least 1")
-        self.n = n
-        self.k_limit = k_limit
-        self.state = new_adversary(n)
-        self._batches = []
-        self._total = 0
-
-    @property
-    def rounds_used(self):
-        return len(self._batches)
-
-    def submit_round(self, queries):
-        if len(self._batches) >= self.k_limit:
-            raise RoundLimitExceeded(
-                "already used %d of %d rounds" % (len(self._batches), self.k_limit))
-        queries = tuple(queries)
-        answers = tuple(adversary_round(self.state, queries))
-        self._batches.append((queries, answers))
-        self._total += len(queries)
-        return list(answers)
-
-    def transcript(self):
-        return build_transcript(self._batches, self.k_limit, self._total)
-
-
 def forced_query_count(algorithm, n, k):
     """Queries `algorithm` spends against the opponent before naming the
     one order consistent with everything said. Raises AlgorithmIncorrect
     when several orders (or a different order) remain possible."""
-    session = AdversarySession(n, k)
+    session = Session(new_adversary(n), k)
     claimed = tuple(algorithm(session, n, k))
-    state = session.state
+    state = session.backend
     for seg in state.segments:
         if len(seg.items) >= 2:
             # at least two orders remain; one of them defeats the claim

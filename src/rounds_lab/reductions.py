@@ -14,10 +14,10 @@ ordering of the agents.
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .cake import (Allocation, CakeSession, CutQuery, EvalQuery,
-                   MalformedAllocation, PiecewiseDensity, verify_proportional)
+from .cake import (CutQuery, EvalQuery, MalformedAllocation, PiecewiseDensity,
+                   verify_proportional)
 from .oracle import (EQUAL, LESS, GREATER, ComparisonQuery, MalformedQuery,
-                     RankQuery, TARGET, compare, flip)
+                     RankQuery, Session, TARGET, compare, flip)
 
 
 class ProtocolNotPrimitive(Exception):
@@ -38,7 +38,7 @@ class LocateComparisonView:
     position t is exactly the element of rank t."""
 
     def __init__(self, comparison_session):
-        inst = comparison_session.instance
+        inst = comparison_session.backend
         if inst.ranks != tuple(range(1, inst.n + 1)):
             raise ValueError("the underlying array must be sorted")
         self.inner = comparison_session
@@ -129,9 +129,6 @@ class AdversaryCakeInstance:
     def grid_point(self, i, c):
         return Fraction(i, self.n + 1) + c * self.epsilon
 
-    def grid(self, i):
-        return [self.grid_point(i, c) for c in range(1, self.n + 1)]
-
     def take_slot(self, agent, i, relation):
         """Pin agent's i/n mark; relation says how her hidden position
         compares to i. Returns the grid point (idempotent per pair)."""
@@ -159,22 +156,10 @@ class AdversaryCakeInstance:
         return self.grid_point(i, c)
 
 
-def build_adversary_cake(n, pi):
-    """Instance with a known hidden permutation, for direct simulation."""
-    return AdversaryCakeInstance(n=n, pi=tuple(pi))
-
-
 def instance_cut(inst, agent, i):
     """The mark revealed for a cut request at value i/n (needs pi)."""
     assert inst.pi is not None
     return inst.take_slot(agent, i, compare(inst.pi[agent - 1], i))
-
-
-def materialize_all(inst):
-    """Pin every remaining mark, grids in order, agents in id order."""
-    for i in range(1, inst.n + 1):
-        for agent in range(1, inst.n + 1):
-            instance_cut(inst, agent, i)
 
 
 def realized_density(inst, agent):
@@ -315,10 +300,10 @@ def run_reduction(cake_protocol, n, rank_session):
     can audit the costs. Raises ProtocolNotPrimitive for off-grid cuts and
     NotProportional when some agent ends up short of 1/n."""
     backend = AdversaryCakeBackend(n, rank_session)
-    session = CakeSession(backend, rank_session.k_limit)
+    session = Session(backend, rank_session.k_limit)
     allocation = cake_protocol(session, n)
     inst = backend.inst
-    inst.pi = tuple(rank_session.instance.ranks)  # fill the rest consistently
+    inst.pi = tuple(rank_session.backend.ranks)  # fill the rest consistently
     agents = [realized_density(inst, p) for p in range(1, n + 1)]
     ok, _ = verify_proportional(allocation, agents)
     if not ok:

@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import ceil
 
 from .oracle import EQUAL, RankQuery
-from .util import bernoulli, normalized_weights
+from .util import bernoulli
 
 
 @dataclass(frozen=True)
@@ -22,16 +22,6 @@ class SelectSchedule:
     k: int
     p: Fraction
     round_sizes: tuple
-
-
-@dataclass(frozen=True)
-class ItemDistribution:
-    """Probability that each index holds the promised rank."""
-
-    weights: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "weights", normalized_weights(self.weights))
 
 
 def build_schedule(n, k, p):
@@ -75,12 +65,6 @@ def select_det(session, schedule, probe_order):
             if a == EQUAL:
                 return i
     return probe_order[at]  # at <= n - 1 since the budget tops out at n*p - 1
-
-
-def select_det_dist(session, n, k, p, dist):
-    """Probe in order of decreasing weight, ties toward the smaller index."""
-    order = sorted(range(1, n + 1), key=lambda i: (-dist.weights[i - 1], i))
-    return select_det(session, build_schedule(n, k, p), order)
 
 
 def select_rand(session, n, k, p, rng):

@@ -8,15 +8,18 @@ def ceil_div(a, b):
 
 
 def ceil_kth_root(n, k):
-    """Smallest integer z with z**k >= n, computed without float rounding."""
+    """Smallest integer z with z**k >= n, exact for every integer n."""
     if n <= 1:
         return n
-    z = max(1, round(n ** (1.0 / k)))
-    while z ** k >= n:
-        z -= 1
-    while z ** k < n:
-        z += 1
-    return z
+    # integer Newton from above: the seed 2**ceil(bits/k) is at least the
+    # root, and each step stays at or above floor(root) until it stops
+    z = 1 << ceil_div(n.bit_length(), k)
+    while True:
+        y = ((k - 1) * z + n // z ** (k - 1)) // k
+        if y >= z:
+            break
+        z = y
+    return z if z ** k == n else z + 1
 
 
 def ceil_log2(n):

@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rounds_lab.cake import (Allocation, MalformedAllocation, PiecewiseDensity,
-                             assign_subcakes, cut_query, eval_query,
-                             format_cake_file, group_sizes, parse_cake_file,
-                             proportional_protocol, random_density,
-                             verify_proportional)
+                             assign_subcakes, format_cake_file, group_sizes,
+                             parse_cake_file, proportional_protocol,
+                             random_density, verify_proportional)
 
 UNIFORM = PiecewiseDensity((0, 1), (1,))
 
@@ -30,12 +29,12 @@ def test_density_validation():
 
 def test_eval_and_cut():
     d = PiecewiseDensity((0, F("1/4"), F("3/4"), 1), (2, 0, 2))
-    assert eval_query(d, F("1/8")) == F("1/4")
-    assert eval_query(d, F("1/2")) == F("1/2")
-    assert cut_query(d, 0) == 0
-    assert cut_query(d, F("1/2")) == F("1/4")  # leftmost point over the plateau
-    assert cut_query(d, F("3/4")) == F("7/8")
-    assert cut_query(d, 1) == 1
+    assert d.prefix(F("1/8")) == F("1/4")
+    assert d.prefix(F("1/2")) == F("1/2")
+    assert d.cut(0) == 0
+    assert d.cut(F("1/2")) == F("1/4")  # leftmost point over the plateau
+    assert d.cut(F("3/4")) == F("7/8")
+    assert d.cut(1) == 1
 
 
 @given(st.integers(min_value=0, max_value=10 ** 6), st.data())

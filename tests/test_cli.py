@@ -101,3 +101,42 @@ def test_missing_required_flags():
         cli.main(["locate", "--n", "4"])
     with pytest.raises(SystemExit):
         cli.main(["mystery", "--n", "4", "--k", "1"])
+
+
+# Measurement columns (problem through success_rate, plus pass) on a fixed
+# grid of fast invocations. The thm* columns are left out: they come from
+# libm pow and may differ in the last digit across platforms.
+GOLDEN_REPORTS = [
+    (("locate", "--n", "64", "--k", "3"),
+     ["locate,64,3,1.0,exact,64,0,8.21875,0.0,1.0,true"]),
+    (("locate", "--n", "64", "--k", "3", "--p", "3/4"),
+     ["locate,64,3,0.75,exact,64,0,7.4375,0.0,0.75,true"]),
+    (("select", "--n", "30", "--k", "3", "--p", "1/2"),
+     ["select,30,3,0.5,exact,1,0,11.833333333333334,0.0,0.5,true"]),
+    (("locate", "--n", "100", "--k", "3", "--p", "1/2",
+      "--mode", "mc", "--trials", "200", "--seed", "3"),
+     ["locate,100,3,0.5,mc,200,3,5.29,0.7365941773531414,0.51,true"]),
+    (("select", "--n", "50", "--k", "4", "--p", "1/2",
+      "--mode", "mc", "--trials", "200", "--seed", "3"),
+     ["select,50,4,0.5,mc,200,3,16.61,2.5565012490475896,0.53,true"]),
+    (("sort", "--n", "5", "--k", "2"),
+     ["sort,5,2,1.0,exact,120,0,10.0,0.0,1.0,true"]),
+    (("cake", "--n", "8", "--k", "2", "--mode", "mc", "--trials", "2",
+      "--seed", "1"),
+     ["cake,8,2,1.0,mc,2,1,30.0,0.0,1.0,true"]),
+    (("reduce", "--n", "4", "--k", "2"),
+     ["reduce,4,2,1.0,exact,24,0,8.0,0.0,1.0,true"]),
+    (("brute", "--n", "4", "--k", "2"),
+     ["brute_select,4,2,1.0,exact,1,0,2.5,0.0,,true",
+      "brute_locate,4,2,1.0,exact,1,0,2.0,0.0,,true"]),
+]
+
+
+@pytest.mark.parametrize("argv,want", GOLDEN_REPORTS,
+                         ids=[" ".join(argv) for argv, _ in GOLDEN_REPORTS])
+def test_reports_are_stable(capsys, argv, want):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    measured = CSV_COLUMNS[:CSV_COLUMNS.index("success_rate") + 1] + ("pass",)
+    got = [",".join(row[c] for c in measured) for row in parse_rows(out)]
+    assert got == want

@@ -5,9 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from rounds_lab.locate import (RankDistribution, block_plan, locate_det,
-                               locate_det_dist, locate_det_subset, locate_rand,
-                               probe_positions)
+from rounds_lab.locate import (RankDistribution, locate_det, locate_det_dist,
+                               locate_det_subset, locate_rand, probe_positions)
 from rounds_lab.util import ceil_kth_root
 from conftest import session_for
 
@@ -123,12 +122,6 @@ def test_locate_rand_success_rate():
     rate = hits / trials
     assert abs(rate - float(p)) < 3 * math.sqrt(float(p) * (1 - p) / trials)
     assert total / trials <= float(p) * k * ceil_kth_root(n, k)
-
-
-def test_block_plan_covers_window():
-    plan = block_plan(1, 16, 2)
-    assert plan.lo == 1 and plan.hi == 16
-    assert plan.probes == (5, 9, 13)
 
 
 def test_rejects_bad_arguments():

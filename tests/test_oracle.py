@@ -1,14 +1,16 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from rounds_lab.cake import CutQuery, DensityBackend, EvalQuery, PiecewiseDensity
 from rounds_lab.oracle import (EQUAL, GREATER, LESS, TARGET, ComparisonQuery,
                                HiddenInstance, MalformedQuery, RankQuery,
-                               RoundLimitExceeded, answers_consistent, compare,
-                               flip, open_session, random_instance,
-                               three_way_via_binary)
-from conftest import session_for, shuffled_ranks
+                               RoundLimitExceeded, Session, answers_consistent,
+                               compare, flip, open_session, random_instance)
+from rounds_lab.rank_sort import new_adversary
+from conftest import session_for, shuffled_ranks, sorted_instance
 
 perms = st.permutations(list(range(1, 7)))
 
@@ -62,16 +64,32 @@ def test_comparison_queries():
         sess.submit_round([ComparisonQuery(2, 2)])
 
 
+# (name, backend factory, a valid query, a query the backend rejects)
+SESSION_BACKENDS = (
+    ("oracle", lambda: sorted_instance(4), RankQuery(1, 2), RankQuery(1, 0)),
+    ("opponent", lambda: new_adversary(4), RankQuery(1, 2), RankQuery(9, 1)),
+    ("density", lambda: DensityBackend([PiecewiseDensity((0, 1), (1,))] * 2),
+     CutQuery(1, Fraction(1, 2)), EvalQuery(1, Fraction(3, 2))),
+)
+
+
 def test_round_limit_and_empty_batch_charge():
-    sess = session_for(4, 2)
-    sess.submit_round([])
-    sess.submit_round([RankQuery(1, 2)])
-    assert sess.rounds_used == 2
-    with pytest.raises(RoundLimitExceeded):
-        sess.submit_round([RankQuery(1, 3)])
-    tr = sess.transcript()
-    assert tr.round_sizes == (0, 1)
-    assert tr.total_queries == 1
+    """One session contract, whichever backend answers the batches."""
+    for name, backend, good, bad in SESSION_BACKENDS:
+        with pytest.raises(ValueError):
+            Session(backend(), 0)
+        sess = Session(backend(), 2)
+        sess.submit_round([])
+        with pytest.raises((MalformedQuery, ValueError)):
+            sess.submit_round([good, bad])
+        assert sess.rounds_used == 1, name  # a rejected batch is free
+        sess.submit_round([good])
+        assert sess.rounds_used == 2, name
+        with pytest.raises(RoundLimitExceeded):
+            sess.submit_round([good])
+        tr = sess.transcript()
+        assert tr.round_sizes == (0, 1), name
+        assert tr.total_queries == 1, name
 
 
 def test_repeated_queries_are_charged():
@@ -90,13 +108,6 @@ def test_malformed_thresholds():
         sess.submit_round([RankQuery(9, 2)])
     with pytest.raises(MalformedQuery):
         sess.submit_round([("truth", 2)])
-
-
-@given(perms, st.integers(min_value=1, max_value=6),
-       st.integers(min_value=1, max_value=6))
-def test_two_binary_probes_simulate_three_way(ranks, item, t):
-    inst = HiddenInstance(tuple(ranks))
-    assert three_way_via_binary(inst, item, t) == compare(inst.rank_of(item), t)
 
 
 @given(perms)

@@ -6,11 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from rounds_lab.oracle import (EQUAL, GREATER, LESS, HiddenInstance,
                                MalformedQuery, RankQuery, RoundLimitExceeded,
-                               open_session, random_instance)
-from rounds_lab.rank_sort import (AdversarySession, AlgorithmIncorrect,
-                                  block_thresholds, consistent_witness,
-                                  forced_query_count, new_adversary,
-                                  adversary_round, sort_rank,
+                               Session, open_session, random_instance)
+from rounds_lab.rank_sort import (AlgorithmIncorrect, block_thresholds,
+                                  consistent_witness, forced_query_count,
+                                  new_adversary, adversary_round, sort_rank,
                                   sorting_lower_bound)
 
 
@@ -136,12 +135,12 @@ def test_opponent_answers_stay_consistent():
 
 
 def test_adversary_session_enforces_rounds():
-    sess = AdversarySession(4, 1)
+    sess = Session(new_adversary(4), 1)
     sess.submit_round([RankQuery(1, 2)])
     with pytest.raises(RoundLimitExceeded):
         sess.submit_round([RankQuery(2, 2)])
     with pytest.raises(MalformedQuery):
-        AdversarySession(4, 1).submit_round([RankQuery(9, 1)])
+        Session(new_adversary(4), 1).submit_round([RankQuery(9, 1)])
 
 
 def test_lower_bound_values():

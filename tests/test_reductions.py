@@ -9,9 +9,8 @@ from rounds_lab.cake import CutQuery, run_proportional
 from rounds_lab.locate import locate_det
 from rounds_lab.oracle import (HiddenInstance, MalformedQuery, RankQuery,
                                open_session, random_instance)
-from rounds_lab.reductions import (ProtocolNotPrimitive,
-                                   build_adversary_cake, instance_cut,
-                                   materialize_all, ordered_to_locate_adapter,
+from rounds_lab.reductions import (AdversaryCakeInstance, ProtocolNotPrimitive,
+                                   instance_cut, ordered_to_locate_adapter,
                                    realized_density, run_reduction,
                                    sort_via_cake, unordered_to_select_adapter)
 from rounds_lab.select import build_schedule, select_det
@@ -60,8 +59,7 @@ def test_select_adapter_matches_native(n, data):
 
 def test_adversary_cake_marks_hit_exact_values():
     pi = (3, 1, 4, 2)
-    inst = build_adversary_cake(4, pi)
-    materialize_all(inst)
+    inst = AdversaryCakeInstance(n=4, pi=pi)
     for agent in range(1, 5):
         d = realized_density(inst, agent)
         for i in range(1, 5):
@@ -78,7 +76,7 @@ def test_adversary_cake_separates_marks_by_rank():
         n = rng.randrange(2, 9)
         pi = list(range(1, n + 1))
         rng.shuffle(pi)
-        inst = build_adversary_cake(n, tuple(pi))
+        inst = AdversaryCakeInstance(n=n, pi=tuple(pi))
         agents = list(range(1, n + 1))
         rng.shuffle(agents)
         for agent in agents:
@@ -98,8 +96,7 @@ def test_adversary_cake_separates_marks_by_rank():
 
 def test_between_grid_values_reveal_nothing():
     """Off the spikes the realized value is pinned by position alone."""
-    inst = build_adversary_cake(3, (2, 3, 1))
-    materialize_all(inst)
+    inst = AdversaryCakeInstance(n=3, pi=(2, 3, 1))
     for agent in (1, 2, 3):
         d = realized_density(inst, agent)
         for i in range(4):

@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rounds_lab.oracle import HiddenInstance, open_session
-from rounds_lab.select import (ItemDistribution, build_schedule,
-                               exact_expected_queries, select_det,
-                               select_det_dist, select_rand)
+from rounds_lab.select import (build_schedule, exact_expected_queries,
+                               select_det, select_rand)
 from conftest import shuffled_ranks
 
 fractions = st.fractions(min_value=0, max_value=1, max_denominator=60)
@@ -80,16 +79,6 @@ def test_full_batch_is_charged_on_mid_batch_hit():
     got = select_det(sess, build_schedule(10, 2, Fraction(1)), list(range(1, 11)))
     assert got == 2
     assert sess.transcript().round_sizes == (5,)  # hit mid-batch, five charged
-
-
-def test_distribution_probes_heavy_items_first():
-    weights = (Fraction(6, 10), Fraction(1, 10), Fraction(3, 10))
-    dist = ItemDistribution(weights)
-    inst = HiddenInstance((2, 3, 1), target_index=3)  # item 3 holds rank 1
-    sess = open_session(inst, 1)
-    got = select_det_dist(sess, 3, 1, Fraction(2, 3), dist)
-    assert got == 3
-    assert sess.transcript().round_sizes == (1,)  # order 1, 3, 2 with one probe
 
 
 def test_select_rand_rate_and_cost():

@@ -29,6 +29,10 @@ def test_ceil_kth_root_known():
     assert ceil_kth_root(1000, 3) == 10
     assert ceil_kth_root(1001, 3) == 11
     assert ceil_kth_root(1, 7) == 1
+    # far past float range the root is still exact
+    z = ceil_kth_root(10 ** 400, 3)
+    assert z ** 3 >= 10 ** 400 > (z - 1) ** 3
+    assert ceil_kth_root(10 ** 399, 3) == 10 ** 133
 
 
 @given(st.integers(min_value=1, max_value=10 ** 9))
