@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .oracle import Session as CakeSession
+from .oracle import MalformedQuery, Session as CakeSession
 from .util import ceil_kth_root
 
 
@@ -150,15 +150,19 @@ class DensityBackend:
         self.agents = tuple(agents)
 
     def answer_batch(self, queries):
+        agents = self.agents
+        n = len(agents)
         out = []
+        append = out.append
         for q in queries:
-            density = self.agents[q.agent - 1]
-            if q.__class__ is CutQuery:
-                out.append(density.cut(q.alpha))
-            elif q.__class__ is EvalQuery:
-                out.append(density.prefix(q.y))
-            else:
-                raise ValueError("unknown division query: %r" % (q,))
+            cls = q.__class__
+            if cls is not CutQuery and cls is not EvalQuery:
+                raise MalformedQuery("unknown division query: %r" % (q,))
+            agent = q.agent
+            if not (agent.__class__ is int and 1 <= agent <= n):
+                raise MalformedQuery("agent out of range: %r" % (agent,))
+            density = agents[agent - 1]
+            append(density.cut(q.alpha) if cls is CutQuery else density.prefix(q.y))
         return out
 
 

@@ -7,8 +7,10 @@ round uses ceil(s**(1/j)) - 1 probes, except that the last round probes
 every candidate outright. The total stays within k * ceil(n**(1/k)).
 """
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import ceil
 
 from .oracle import EQUAL, LESS, TARGET, RankQuery
@@ -23,6 +25,13 @@ class RankDistribution:
 
     def __post_init__(self):
         object.__setattr__(self, "weights", normalized_weights(self.weights))
+
+    @cached_property
+    def order(self):
+        """Ranks 1..n by descending weight, ties toward the smaller rank;
+        sorted once, on first use."""
+        w = self.weights
+        return tuple(sorted(range(1, len(w) + 1), key=lambda r: (-w[r - 1], r)))
 
 
 def probe_positions(count, rounds_left):
@@ -68,7 +77,8 @@ def locate_det_subset(session, n, k, ranks):
     narrowed = lo > cands[0] or hi < cands[-1]
     while True:
         if narrowed:
-            cands = [c for c in cands if lo <= c <= hi]
+            # cands is sorted: slicing keeps a range a range, a list a list
+            cands = cands[bisect_left(cands, lo):bisect_right(cands, hi)]
         if not cands:
             return None
         if lo == hi:
@@ -115,6 +125,6 @@ def locate_det_dist(session, n, k, p, dist):
     p = Fraction(p)
     if not 0 < p <= 1:
         raise ValueError("p must be in (0, 1]")
-    size = ceil(p * n)
-    order = sorted(range(1, n + 1), key=lambda r: (-dist.weights[r - 1], r))
-    return locate_det_subset(session, n, k, order[:size])
+    if len(dist.weights) != n:
+        raise ValueError("dist must weigh exactly the ranks 1..n")
+    return locate_det_subset(session, n, k, dist.order[:ceil(p * n)])

@@ -13,6 +13,7 @@ the sorting opponent `rank_sort.AdversaryState`, and the division backends
 
 from collections import namedtuple
 from dataclasses import dataclass
+from operator import eq
 
 LESS = "<"
 EQUAL = "="
@@ -52,21 +53,36 @@ def flip(answer):
     return EQUAL
 
 
+def is_identity(ranks):
+    """True when ranks reads 1, 2, ..., len(ranks): O(1) for the range
+    range(1, n + 1), one C-level pass for any other sequence."""
+    ident = range(1, len(ranks) + 1)
+    return ranks == ident or all(map(eq, ranks, ident))
+
+
+def is_permutation(ranks):
+    """True when ranks is a permutation of 1..len(ranks); the sort only
+    runs when the sequence is not already the identity."""
+    return is_identity(ranks) or sorted(ranks) == list(range(1, len(ranks) + 1))
+
+
 @dataclass(frozen=True)
 class HiddenInstance:
     """A permutation of 1..n plus an optional promised element.
 
-    ranks[i-1] is the rank of item i. target_index, when set, names the
-    item the search tasks ask about; which half of that pair (the index or
-    the rank) is public depends on the task.
+    ranks[i-1] is the rank of item i. Pass range(1, n + 1) for the sorted
+    instance: it validates in O(1) and stores only n and the target, so a
+    search over it costs time in its queries, not in n. target_index, when
+    set, names the item the search tasks ask about; which half of that pair
+    (the index or the rank) is public depends on the task.
     """
 
-    ranks: tuple
+    ranks: tuple  # or range(1, n + 1)
     target_index: int = None
 
     def __post_init__(self):
         n = len(self.ranks)
-        if sorted(self.ranks) != list(range(1, n + 1)):
+        if not is_permutation(self.ranks):
             raise ValueError("ranks must be a permutation of 1..n")
         if self.target_index is not None and not 1 <= self.target_index <= n:
             raise ValueError("target_index out of range")

@@ -17,7 +17,7 @@ from fractions import Fraction
 from .cake import (CutQuery, EvalQuery, MalformedAllocation, PiecewiseDensity,
                    verify_proportional)
 from .oracle import (EQUAL, LESS, GREATER, ComparisonQuery, MalformedQuery,
-                     RankQuery, Session, TARGET, compare, flip)
+                     RankQuery, Session, TARGET, compare, flip, is_identity)
 
 
 class ProtocolNotPrimitive(Exception):
@@ -39,7 +39,7 @@ class LocateComparisonView:
 
     def __init__(self, comparison_session):
         inst = comparison_session.backend
-        if inst.ranks != tuple(range(1, inst.n + 1)):
+        if not is_identity(inst.ranks):
             raise ValueError("the underlying array must be sorted")
         self.inner = comparison_session
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
 
-from .oracle import EQUAL, RankQuery
+from .oracle import EQUAL, RankQuery, is_permutation
 from .util import bernoulli
 
 
@@ -50,9 +50,14 @@ def select_det(session, schedule, probe_order):
     """Probe along probe_order per the schedule; if the rank never surfaces,
     guess the first unprobed index. A batch is charged in full even when
     the hit lands mid-batch; empty batches are not submitted."""
-    n = schedule.n
-    if sorted(probe_order) != list(range(1, n + 1)):
+    if len(probe_order) != schedule.n or not is_permutation(probe_order):
         raise ValueError("probe_order must be a permutation of 1..n")
+    return _probe(session, schedule, probe_order)
+
+
+def _probe(session, schedule, probe_order):
+    """select_det's probe loop over a probe_order already known to be a
+    permutation of 1..schedule.n."""
     r = session.promised_rank
     at = 0
     for size in schedule.round_sizes:
@@ -78,7 +83,7 @@ def select_rand(session, n, k, p, rng):
         return None
     order = list(range(1, n + 1))
     rng.shuffle(order)
-    return select_det(session, build_schedule(n, k, Fraction(1)), order)
+    return _probe(session, build_schedule(n, k, Fraction(1)), order)
 
 
 def exact_expected_queries(schedule):

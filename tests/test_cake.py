@@ -4,10 +4,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rounds_lab.cake import (Allocation, MalformedAllocation, PiecewiseDensity,
+from rounds_lab.cake import (Allocation, CakeSession, CutQuery, DensityBackend,
+                             EvalQuery, MalformedAllocation, PiecewiseDensity,
                              assign_subcakes, format_cake_file, group_sizes,
                              parse_cake_file, proportional_protocol,
                              random_density, verify_proportional)
+from rounds_lab.oracle import MalformedQuery, RankQuery
 
 UNIFORM = PiecewiseDensity((0, 1), (1,))
 
@@ -35,6 +37,21 @@ def test_eval_and_cut():
     assert d.cut(F("1/2")) == F("1/4")  # leftmost point over the plateau
     assert d.cut(F("3/4")) == F("7/8")
     assert d.cut(1) == 1
+
+
+def test_density_backend_rejects_malformed_queries():
+    half = PiecewiseDensity((0, 1), (1,))
+    left = PiecewiseDensity((0, F("1/2"), 1), (2, 0))
+    sess = CakeSession(DensityBackend([half, left]), 2)
+    assert sess.submit_round([CutQuery(2, F("1/2")), EvalQuery(1, F("1/4"))]) \
+        == [F("1/4"), F("1/4")]
+    for bad in (CutQuery(0, F("1/2")), CutQuery(3, F("1/2")),
+                EvalQuery(-1, F("1/2")), EvalQuery(True, F("1/2")),
+                RankQuery(1, 1), ("cut", 1, F("1/2"))):
+        with pytest.raises(MalformedQuery):
+            sess.submit_round([CutQuery(1, F("1/2")), bad])
+        assert sess.rounds_used == 1  # a rejected batch consumes no round
+    assert sess.transcript().total_queries == 2
 
 
 @given(st.integers(min_value=0, max_value=10 ** 6), st.data())

@@ -7,7 +7,10 @@ from hypothesis import given, strategies as st
 
 from rounds_lab.locate import (RankDistribution, locate_det, locate_det_dist,
                                locate_det_subset, locate_rand, probe_positions)
-from rounds_lab.util import ceil_kth_root
+from rounds_lab.oracle import (EQUAL, LESS, TARGET, HiddenInstance, RankQuery,
+                               open_session)
+from rounds_lab.select import build_schedule, select_det
+from rounds_lab.util import ceil_kth_root, ceil_log2
 from conftest import session_for
 
 
@@ -133,3 +136,89 @@ def test_rejects_bad_arguments():
         locate_det_subset(sess, 10, 2, [0, 3])
     with pytest.raises(ValueError):
         locate_det_dist(sess, 10, 2, Fraction(0), uniform)
+
+
+def test_distribution_must_cover_n():
+    sess = session_for(10, 2)
+    with pytest.raises(ValueError):
+        locate_det_dist(sess, 10, 2, Fraction(1, 2),
+                        RankDistribution((Fraction(1, 5),) * 5))
+
+
+def reference_locate_det_subset(session, n, k, ranks):
+    """The candidate narrowing as first written: rebuild the whole candidate
+    list every round. Kept as the reference the bisect slicing must match."""
+    if ranks.__class__ is range and ranks.step == 1:
+        cands = ranks
+    else:
+        cands = sorted(set(ranks))
+    if not cands or cands[0] < 1 or cands[-1] > n:
+        raise ValueError("candidate ranks must be a nonempty subset of 1..n")
+    lo, hi = 1, n
+    rounds_left = min(k, max(1, ceil_log2(len(cands))))
+    narrowed = lo > cands[0] or hi < cands[-1]
+    while True:
+        if narrowed:
+            cands = [c for c in cands if lo <= c <= hi]
+        if not cands:
+            return None
+        if lo == hi:
+            return lo
+        if len(cands) == 1:
+            t = cands[0]
+            answer = session.submit_round([RankQuery(TARGET, t)])[0]
+            return t if answer == EQUAL else None
+        probes = [cands[i] for i in probe_positions(len(cands), rounds_left)]
+        answers = session.submit_round([RankQuery(TARGET, t) for t in probes])
+        rounds_left -= 1
+        for t, a in zip(probes, answers):
+            if a == EQUAL:
+                return t
+            if a == LESS:
+                hi = min(hi, t - 1)
+            else:
+                lo = max(lo, t + 1)
+        narrowed = True
+
+
+def identity_sessions(n, k, target):
+    """Sessions over the same sorted instance, given as a range and as a tuple."""
+    return [open_session(HiddenInstance(ranks, target_index=target), k)
+            for ranks in (range(1, n + 1), tuple(range(1, n + 1)))]
+
+
+@given(st.integers(min_value=1, max_value=200), st.integers(min_value=1, max_value=8),
+       st.data())
+def test_bisect_narrowing_matches_reference(n, k, data):
+    r = data.draw(st.integers(min_value=1, max_value=n))
+    lo = data.draw(st.integers(min_value=1, max_value=n))
+    hi = data.draw(st.integers(min_value=lo, max_value=n))
+    subsets = [range(lo, hi + 1), list(range(lo, hi + 1)),
+               range(lo, hi + 1, data.draw(st.integers(min_value=2, max_value=5))),
+               data.draw(st.lists(st.integers(min_value=1, max_value=n), min_size=1))]
+    for cands in subsets:  # targets land inside and outside each subset
+        new, old = identity_sessions(n, k, r)
+        assert (locate_det_subset(new, n, k, cands)
+                == reference_locate_det_subset(old, n, k, cands))
+        assert new.transcript() == old.transcript()
+    # the O(1) range instance answers exactly like the materialised tuple
+    seed = data.draw(st.integers(min_value=0, max_value=2 ** 32))
+    p = data.draw(st.fractions(min_value=0, max_value=1, max_denominator=8))
+    order = data.draw(st.permutations(list(range(1, n + 1))))
+    runs = [lambda s: locate_det(s, n, k),
+            lambda s: locate_rand(s, n, k, p, random.Random(seed)),
+            lambda s: select_det(s, build_schedule(n, min(k, n), p), order)]
+    for run in runs:
+        a, b = identity_sessions(n, k, r)
+        assert run(a) == run(b)
+        assert a.transcript() == b.transcript()
+
+
+@pytest.mark.parametrize("k", [6, 12, 36])
+def test_locate_on_range_instance_scales_with_queries(k):
+    n = 2 ** 36  # a materialised instance would hold 64 Gi ranks
+    for target in (1, 12_345_678_901, n):
+        sess = open_session(HiddenInstance(range(1, n + 1), target_index=target), k)
+        assert locate_det(sess, n, k) == target
+        assert sess.total_queries <= k * ceil_kth_root(n, k)
+        assert sess.rounds_used <= k

@@ -34,6 +34,21 @@ def test_instance_validation():
         inst.target_rank
 
 
+def test_range_instance_validation():
+    n = 50
+    for bad in (range(0, n), range(2, n + 2), range(1, 2 * n, 2), range(n + 1, 1, -1)):
+        with pytest.raises(ValueError):
+            HiddenInstance(bad)
+    for good in (range(1, n + 1), range(n, 0, -1), shuffled_ranks(n, 3),
+                 tuple(range(1, n + 1)), range(1, 1)):
+        inst = HiddenInstance(good, target_index=n if len(good) else None)
+        assert inst.n == len(good)
+    inst = HiddenInstance(range(n, 0, -1), target_index=1)
+    assert inst.target_rank == n and inst.rank_of(n) == 1
+    with pytest.raises(ValueError):
+        HiddenInstance(range(1, n + 1), target_index=n + 1)
+
+
 @given(perms)
 def test_rank_queries_answer_by_rank(ranks):
     inst = HiddenInstance(tuple(ranks))
