@@ -17,7 +17,7 @@ from .oracle import (EQUAL, GREATER, LESS, TARGET, ComparisonQuery,
                      random_instance)
 from .rank_sort import forced_query_count, sort_rank, sorting_lower_bound
 from .reductions import (ordered_to_locate_adapter, run_reduction,
-                         sort_via_cake, unordered_to_select_adapter)
+                         unordered_to_select_adapter)
 from .select import build_schedule, exact_expected_queries, select_det, select_rand
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "EQUAL", "GREATER", "LESS", "TARGET", "ComparisonQuery", "HiddenInstance",
     "RankQuery", "Session", "open_session", "random_instance",
     "forced_query_count", "sort_rank", "sorting_lower_bound",
-    "ordered_to_locate_adapter", "run_reduction", "sort_via_cake",
-    "unordered_to_select_adapter",
+    "ordered_to_locate_adapter", "run_reduction", "unordered_to_select_adapter",
     "build_schedule", "exact_expected_queries", "select_det", "select_rand",
 ]

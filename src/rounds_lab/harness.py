@@ -7,7 +7,7 @@ import itertools
 import math
 import os
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 
@@ -23,12 +23,6 @@ DEFAULT_BUDGET = 10 ** 7
 BUDGET_ENV = "ROUNDS_LAB_BUDGET"
 
 PROBLEMS = ("locate", "select", "sort", "cake", "reduce", "bounds", "brute")
-
-CSV_COLUMNS = ("problem", "n", "k", "p", "mode", "trials", "seed",
-               "mean_queries", "ci95", "success_rate",
-               "thm1_lo", "thm1_hi", "thm2_lo", "thm2_hi",
-               "thm3", "thm4", "thm5", "pass")
-
 
 class InfeasibleExact(Exception):
     pass
@@ -107,6 +101,10 @@ class BoundRow:
     passed: bool
 
 
+CSV_COLUMNS = tuple("pass" if f.name == "passed" else f.name
+                    for f in fields(BoundRow))
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     problem: str
@@ -133,7 +131,7 @@ class ExperimentConfig:
             raise ValueError("n and k must be positive")
         if self.trials < 1:
             raise ValueError("trials must be positive")
-        if self.fmt not in ("csv", "svg"):
+        if self.fmt not in _RENDERERS:
             raise ValueError("format must be csv or svg")
 
 
@@ -465,15 +463,9 @@ def _render_csv(rows):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
+    names = [f.name for f in fields(BoundRow)]
     for r in rows:
-        writer.writerow([
-            _cell(r.problem), _cell(r.n), _cell(r.k), _cell(r.p),
-            _cell(r.mode), _cell(r.trials), _cell(r.seed),
-            _cell(r.mean_queries), _cell(r.ci95), _cell(r.success_rate),
-            _cell(r.thm1_lo), _cell(r.thm1_hi), _cell(r.thm2_lo),
-            _cell(r.thm2_hi), _cell(r.thm3), _cell(r.thm4), _cell(r.thm5),
-            _cell(r.passed),
-        ])
+        writer.writerow([_cell(getattr(r, name)) for name in names])
     return buf.getvalue()
 
 
@@ -536,13 +528,19 @@ def _render_svg(rows):
     return "\n".join(parts) + "\n"
 
 
+_RENDERERS = {"csv": _render_csv, "svg": _render_svg}
+
+
 def emit_report(report, fmt="csv", out=None):
     """Render a report as CSV rows or a self-contained SVG chart; writes to
     `out` when given and always returns the rendered text."""
+    render = _RENDERERS.get(fmt)
+    if render is None:
+        raise ValueError("unknown report format: %r" % (fmt,))
     rows = list(report.rows) if isinstance(report, BoundReport) else list(report)
     if not rows:
         raise IoFailure("refusing to write an empty report")
-    text = _render_csv(rows) if fmt == "csv" else _render_svg(rows)
+    text = render(rows)
     if out is not None:
         try:
             with open(out, "w") as fh:

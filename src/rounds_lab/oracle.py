@@ -5,10 +5,13 @@ k_limit batches of queries and hands each batch as a whole to its backend,
 so a query can only depend on answers from strictly earlier batches.
 Submitting a batch consumes one round even when the batch is empty, a
 repeated query is charged every time it appears, and a batch the backend
-rejects consumes nothing. Backends answer through `answer_batch(queries)`:
-`HiddenInstance` (rank and comparison queries over a fixed permutation),
-the sorting opponent `rank_sort.AdversaryState`, and the division backends
-`cake.DensityBackend` and `reductions.AdversaryCakeBackend`.
+rejects consumes nothing. Six backends answer through
+`answer_batch(queries)`: `HiddenInstance` (rank and comparison queries over
+a fixed permutation), the sorting opponent `rank_sort.AdversaryState`, the
+division backends `cake.DensityBackend` and
+`reductions.AdversaryCakeBackend`, and the comparison backends
+`reductions.LocateComparisonBackend` and
+`reductions.SelectComparisonBackend`.
 """
 
 from collections import namedtuple

@@ -1,8 +1,11 @@
 """Query translations between the search, sorting, and division models.
 
-The two adapter views replay rank probes as single element comparisons, so
-the search routines run against comparison oracles without touching their
-logic or their query counts.
+Each translation is a `Session` backend that answers one batch in its own
+model with exactly one batch against an inner session in another, so the
+rounds and the round sizes carry over. The two comparison backends replay
+rank probes as single element comparisons, so the search routines run
+against comparison oracles without touching their logic or their query
+counts.
 
 The valuation family behind sorting-by-division concentrates each agent's
 mass in n + 1 narrow spikes whose positions are decided lazily, one rank
@@ -16,8 +19,8 @@ from fractions import Fraction
 
 from .cake import (CutQuery, EvalQuery, MalformedAllocation, PiecewiseDensity,
                    verify_proportional)
-from .oracle import (EQUAL, LESS, GREATER, ComparisonQuery, MalformedQuery,
-                     RankQuery, Session, TARGET, compare, flip, is_identity)
+from .oracle import (LESS, GREATER, ComparisonQuery, MalformedQuery, RankQuery,
+                     Session, TARGET, compare, flip, is_identity)
 
 
 class ProtocolNotPrimitive(Exception):
@@ -32,22 +35,17 @@ class SlotExhausted(Exception):
     pass
 
 
-class LocateComparisonView:
-    """Serves rank probes about the promised element via one comparison
+class LocateComparisonBackend:
+    """Answers rank probes about the promised element with one comparison
     each; valid when the underlying array is sorted, where the element at
     position t is exactly the element of rank t."""
 
     def __init__(self, comparison_session):
-        inst = comparison_session.backend
-        if not is_identity(inst.ranks):
+        if not is_identity(comparison_session.backend.ranks):
             raise ValueError("the underlying array must be sorted")
         self.inner = comparison_session
 
-    @property
-    def k_limit(self):
-        return self.inner.k_limit
-
-    def submit_round(self, queries):
+    def answer_batch(self, queries):
         batch = []
         for q in queries:
             if q.__class__ is not RankQuery or q.item != TARGET:
@@ -56,17 +54,15 @@ class LocateComparisonView:
             batch.append(ComparisonQuery(TARGET, q.threshold))
         return self.inner.submit_round(batch)
 
-    def transcript(self):
-        return self.inner.transcript()
-
 
 def ordered_to_locate_adapter(comparison_session):
-    """Rank-probe facade over a comparison oracle for a sorted array."""
-    return LocateComparisonView(comparison_session)
+    """Rank-probe session over a comparison oracle for a sorted array."""
+    return Session(LocateComparisonBackend(comparison_session),
+                   comparison_session.k_limit)
 
 
-class SelectComparisonView:
-    """Serves rank probes at the promised rank by comparing each probed
+class SelectComparisonBackend:
+    """Answers rank probes at the promised rank by comparing each probed
     item against the promised element (answers arrive flipped, since the
     comparison reads the other way around)."""
 
@@ -74,14 +70,10 @@ class SelectComparisonView:
         self.inner = comparison_session
 
     @property
-    def k_limit(self):
-        return self.inner.k_limit
-
-    @property
-    def promised_rank(self):
+    def target_rank(self):
         return self.inner.promised_rank
 
-    def submit_round(self, queries):
+    def answer_batch(self, queries):
         r = self.inner.promised_rank
         batch = []
         for q in queries:
@@ -91,13 +83,11 @@ class SelectComparisonView:
             batch.append(ComparisonQuery(TARGET, q.item))
         return [flip(a) for a in self.inner.submit_round(batch)]
 
-    def transcript(self):
-        return self.inner.transcript()
-
 
 def unordered_to_select_adapter(comparison_session):
-    """Rank-probe facade over a comparison oracle with a promised element."""
-    return SelectComparisonView(comparison_session)
+    """Rank-probe session over a comparison oracle with a promised element."""
+    return Session(SelectComparisonBackend(comparison_session),
+                   comparison_session.k_limit)
 
 
 @dataclass
@@ -106,16 +96,17 @@ class AdversaryCakeInstance:
 
     Grid i holds the n points i/(n+1) + c*eps for c = 1..n. Agent p's i/n
     mark lands on a grid-i point chosen by her hidden position: strictly
-    below i takes the lowest free point, strictly above takes the highest
-    free point, and position i itself keeps the i-th point, which the other
-    two rules can never consume first.
+    below i takes the next point up from c = 1, strictly above takes the
+    next point down from c = n, and position i itself takes c = i. The
+    hidden positions form a permutation, so grid i sees at most i - 1 marks
+    below and n - i above, and the three rules never meet.
     """
 
     n: int
     pi: tuple = None  # hidden ranks by agent; optional until finalization
     epsilon: Fraction = None
     slots: dict = field(default_factory=dict)   # (agent, i) -> c
-    used: dict = field(default_factory=dict)    # i -> set of taken c
+    counts: dict = field(default_factory=dict)  # i -> (marks below, above)
     points: dict = field(default_factory=dict)  # grid point -> (agent, i)
 
     def __post_init__(self):
@@ -133,27 +124,19 @@ class AdversaryCakeInstance:
         """Pin agent's i/n mark; relation says how her hidden position
         compares to i. Returns the grid point (idempotent per pair)."""
         key = (agent, i)
-        if key in self.slots:
-            return self.grid_point(i, self.slots[key])
-        taken = self.used.setdefault(i, set())
-        free = [c for c in range(1, self.n + 1) if c not in taken]
-        if not free:
-            raise SlotExhausted("grid %d has no free point" % (i,))
-        if relation == EQUAL:
-            c = i
-            if c in taken:
+        if key not in self.slots:
+            low, high = self.counts.get(i, (0, 0))
+            c = (low + 1 if relation == LESS
+                 else self.n - high if relation == GREATER else i)
+            y = self.grid_point(i, c)
+            if compare(c, i) != relation or y in self.points:
                 raise SlotExhausted(
-                    "reserved point %d of grid %d already taken" % (c, i))
-        elif relation == LESS:
-            c = free[0]
-        elif relation == GREATER:
-            c = free[-1]
-        else:
-            raise ValueError("bad relation: %r" % (relation,))
-        self.slots[key] = c
-        taken.add(c)
-        self.points[self.grid_point(i, c)] = key
-        return self.grid_point(i, c)
+                    "grid %d has no free point for relation %r" % (i, relation))
+            self.counts[i] = (low + (relation == LESS),
+                              high + (relation == GREATER))
+            self.slots[key] = c
+            self.points[y] = key
+        return self.grid_point(i, self.slots[key])
 
 
 def instance_cut(inst, agent, i):
@@ -203,74 +186,55 @@ class AdversaryCakeBackend:
         self.inst = AdversaryCakeInstance(n=n)
         self.rank_session = rank_session
 
-    def _grid_index(self, alpha):
-        n = self.inst.n
-        i = Fraction(alpha) * n
-        if i.denominator != 1:
-            raise ProtocolNotPrimitive(
-                "cut argument %s is not a multiple of 1/%d" % (alpha, n))
-        i = int(i)
-        if not 0 <= i <= n:
-            raise MalformedQuery("cut argument outside [0, 1]")
-        return i
-
     def answer_batch(self, queries):
         inst = self.inst
-        wanted = []  # (agent, i) pairs needing a probe, first appearance
-        seen = set()
-        infos = []
+        n = inst.n
+        grids = []  # per query: (grid i, eval point or None), or (0, answer)
+        new = {}    # (agent, i) pairs to probe, in order of first appearance
         for q in queries:
             if q.__class__ is CutQuery:
-                i = self._grid_index(q.alpha)
-                infos.append(("cut", q.agent, i, None))
-                key = (q.agent, i)
-                if i >= 1 and key not in inst.slots and key not in seen:
-                    seen.add(key)
-                    wanted.append(key)
+                i = Fraction(q.alpha) * n
+                if i.denominator != 1:
+                    raise ProtocolNotPrimitive(
+                        "cut argument %s is not a multiple of 1/%d" % (q.alpha, n))
+                i = int(i)
+                if not 0 <= i <= n:
+                    raise MalformedQuery("cut argument outside [0, 1]")
+                grids.append((i, None if i else Fraction(0)))
             elif q.__class__ is EvalQuery:
                 y = Fraction(q.y)
                 if y == 0 or y == 1:
-                    infos.append(("edge", q.agent, None, y))
-                    continue
-                ref = inst.points.get(y)
-                if ref is None:
-                    raise MalformedQuery(
-                        "eval at a point that is not a previous cut: %s" % (y,))
-                _, i = ref
-                infos.append(("eval", q.agent, i, y))
-                key = (q.agent, i)
-                if key not in inst.slots and key not in seen:
-                    seen.add(key)
-                    wanted.append(key)
+                    i = 0
+                else:
+                    ref = inst.points.get(y)
+                    if ref is None:
+                        raise MalformedQuery(
+                            "eval at a point that is not a previous cut: %s" % (y,))
+                    i = ref[1]
+                grids.append((i, y))
             else:
                 raise MalformedQuery("unknown division query: %r" % (q,))
-        probe_answers = self.rank_session.submit_round(
-            [RankQuery(agent, i) for agent, i in wanted])
-        relations = dict(zip(wanted, probe_answers))
+            if i and (q.agent, i) not in inst.slots:
+                new.setdefault((q.agent, i))
+        relations = self.rank_session.submit_round(
+            [RankQuery(agent, i) for agent, i in new])
+        for (agent, i), relation in zip(new, relations):
+            inst.take_slot(agent, i, relation)
         out = []
-        for kind, agent, i, y in infos:
-            if kind == "edge":
-                out.append(Fraction(0) if y == 0 else Fraction(1))
-            elif kind == "cut":
-                if i == 0:
-                    out.append(Fraction(0))
-                else:
-                    out.append(self._point(agent, i, relations))
+        for q, (i, y) in zip(queries, grids):
+            if not i:
+                out.append(y)
+                continue
+            own = inst.grid_point(i, inst.slots[(q.agent, i)])
+            if y is None:
+                out.append(own)
+            elif own == y:
+                out.append(Fraction(i, n))
+            elif own > y:
+                out.append(Fraction(i, n + 1))
             else:
-                own = self._point(agent, i, relations)
-                if own == y:
-                    out.append(Fraction(i, inst.n))
-                elif own > y:
-                    out.append(Fraction(i, inst.n + 1))
-                else:
-                    out.append(Fraction(i + 1, inst.n + 1))
+                out.append(Fraction(i + 1, n + 1))
         return out
-
-    def _point(self, agent, i, relations):
-        key = (agent, i)
-        if key in self.inst.slots:
-            return self.inst.grid_point(i, self.inst.slots[key])
-        return self.inst.take_slot(agent, i, relations[key])
 
 
 def recover_permutation(allocation, instance):
@@ -310,9 +274,3 @@ def run_reduction(cake_protocol, n, rank_session):
         raise NotProportional("the allocation undervalues some agent")
     return recover_permutation(allocation, inst), session.transcript(), allocation
 
-
-def sort_via_cake(cake_protocol, n, rank_session):
-    """Sort the hidden permutation by running a division protocol against
-    the lazy spiky valuations; returns the recovered ranks by agent."""
-    ranks, _, _ = run_reduction(cake_protocol, n, rank_session)
-    return ranks

@@ -126,6 +126,9 @@ GOLDEN_REPORTS = [
      ["cake,8,2,1.0,mc,2,1,30.0,0.0,1.0,true"]),
     (("reduce", "--n", "4", "--k", "2"),
      ["reduce,4,2,1.0,exact,24,0,8.0,0.0,1.0,true"]),
+    (("reduce", "--n", "12", "--k", "2", "--mode", "mc", "--trials", "3",
+      "--seed", "5"),
+     ["reduce,12,2,1.0,mc,3,5,60.0,0.0,1.0,true"]),
     (("brute", "--n", "4", "--k", "2"),
      ["brute_select,4,2,1.0,exact,1,0,2.5,0.0,,true",
       "brute_locate,4,2,1.0,exact,1,0,2.0,0.0,,true"]),

@@ -173,3 +173,6 @@ def test_emit_report_failures(tmp_path):
         emit_report(BoundReport(config=rep.config, rows=()))
     with pytest.raises(IoFailure):
         emit_report(rep, fmt="csv", out=str(tmp_path / "no" / "dir" / "x.csv"))
+    for fmt in ("json", "CSV"):
+        with pytest.raises(ValueError):
+            emit_report(rep, fmt=fmt)

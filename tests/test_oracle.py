@@ -10,6 +10,7 @@ from rounds_lab.oracle import (EQUAL, GREATER, LESS, TARGET, ComparisonQuery,
                                RoundLimitExceeded, Session, answers_consistent,
                                compare, flip, open_session, random_instance)
 from rounds_lab.rank_sort import new_adversary
+from rounds_lab.reductions import LocateComparisonBackend, SelectComparisonBackend
 from conftest import session_for, shuffled_ranks, sorted_instance
 
 perms = st.permutations(list(range(1, 7)))
@@ -85,6 +86,10 @@ SESSION_BACKENDS = (
     ("opponent", lambda: new_adversary(4), RankQuery(1, 2), RankQuery(9, 1)),
     ("density", lambda: DensityBackend([PiecewiseDensity((0, 1), (1,))] * 2),
      CutQuery(1, Fraction(1, 2)), EvalQuery(1, Fraction(3, 2))),
+    ("locate view", lambda: LocateComparisonBackend(session_for(4, 2, 3)),
+     RankQuery(TARGET, 2), RankQuery(1, 2)),
+    ("select view", lambda: SelectComparisonBackend(session_for(4, 2, 3)),
+     RankQuery(1, 3), RankQuery(1, 2)),
 )
 
 

@@ -5,14 +5,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rounds_lab.cake import CutQuery, run_proportional
+from rounds_lab.cake import CutQuery, EvalQuery, run_proportional
 from rounds_lab.locate import locate_det
-from rounds_lab.oracle import (HiddenInstance, MalformedQuery, RankQuery,
-                               open_session, random_instance)
-from rounds_lab.reductions import (AdversaryCakeInstance, ProtocolNotPrimitive,
+from rounds_lab.oracle import (EQUAL, GREATER, LESS, HiddenInstance,
+                               MalformedQuery, RankQuery, Session, open_session,
+                               random_instance)
+from rounds_lab.reductions import (AdversaryCakeBackend, AdversaryCakeInstance,
+                                   ProtocolNotPrimitive, SlotExhausted,
                                    instance_cut, ordered_to_locate_adapter,
                                    realized_density, run_reduction,
-                                   sort_via_cake, unordered_to_select_adapter)
+                                   unordered_to_select_adapter)
 from rounds_lab.select import build_schedule, select_det
 from conftest import sorted_instance
 
@@ -141,6 +143,165 @@ def test_bridge_rejects_off_grid_cuts():
         run_reduction(sloppy, 2, rank_sess)
 
 
-def test_sort_via_cake_returns_ranks():
-    rank_sess = open_session(HiddenInstance((3, 1, 2)), 2)
-    assert sort_via_cake(protocol(2), 3, rank_sess) == (3, 1, 2)
+class ReferenceCakeInstance(AdversaryCakeInstance):
+    """The free-list slot rule that the per-grid (below, above) counts
+    replaced: a mark below i takes the lowest free point, a mark above i
+    the highest."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.used = {}  # i -> set of taken c
+
+    def take_slot(self, agent, i, relation):
+        key = (agent, i)
+        if key in self.slots:
+            return self.grid_point(i, self.slots[key])
+        taken = self.used.setdefault(i, set())
+        free = [c for c in range(1, self.n + 1) if c not in taken]
+        if not free:
+            raise SlotExhausted("grid %d has no free point" % (i,))
+        if relation == EQUAL:
+            c = i
+            if c in taken:
+                raise SlotExhausted(
+                    "reserved point %d of grid %d already taken" % (c, i))
+        elif relation == LESS:
+            c = free[0]
+        elif relation == GREATER:
+            c = free[-1]
+        else:
+            raise ValueError("bad relation: %r" % (relation,))
+        self.slots[key] = c
+        taken.add(c)
+        self.points[self.grid_point(i, c)] = key
+        return self.grid_point(i, c)
+
+
+class ReferenceCakeBackend:
+    """The tagged-tuple backend that the two-pass answer_batch replaced."""
+
+    def __init__(self, n, rank_session):
+        self.inst = ReferenceCakeInstance(n=n)
+        self.rank_session = rank_session
+
+    def _grid_index(self, alpha):
+        n = self.inst.n
+        i = Fraction(alpha) * n
+        if i.denominator != 1:
+            raise ProtocolNotPrimitive(
+                "cut argument %s is not a multiple of 1/%d" % (alpha, n))
+        i = int(i)
+        if not 0 <= i <= n:
+            raise MalformedQuery("cut argument outside [0, 1]")
+        return i
+
+    def answer_batch(self, queries):
+        inst = self.inst
+        wanted = []  # (agent, i) pairs needing a probe, first appearance
+        seen = set()
+        infos = []
+        for q in queries:
+            if q.__class__ is CutQuery:
+                i = self._grid_index(q.alpha)
+                infos.append(("cut", q.agent, i, None))
+                key = (q.agent, i)
+                if i >= 1 and key not in inst.slots and key not in seen:
+                    seen.add(key)
+                    wanted.append(key)
+            elif q.__class__ is EvalQuery:
+                y = Fraction(q.y)
+                if y == 0 or y == 1:
+                    infos.append(("edge", q.agent, None, y))
+                    continue
+                ref = inst.points.get(y)
+                if ref is None:
+                    raise MalformedQuery(
+                        "eval at a point that is not a previous cut: %s" % (y,))
+                _, i = ref
+                infos.append(("eval", q.agent, i, y))
+                key = (q.agent, i)
+                if key not in inst.slots and key not in seen:
+                    seen.add(key)
+                    wanted.append(key)
+            else:
+                raise MalformedQuery("unknown division query: %r" % (q,))
+        probe_answers = self.rank_session.submit_round(
+            [RankQuery(agent, i) for agent, i in wanted])
+        relations = dict(zip(wanted, probe_answers))
+        out = []
+        for kind, agent, i, y in infos:
+            if kind == "edge":
+                out.append(Fraction(0) if y == 0 else Fraction(1))
+            elif kind == "cut":
+                if i == 0:
+                    out.append(Fraction(0))
+                else:
+                    out.append(self._point(agent, i, relations))
+            else:
+                own = self._point(agent, i, relations)
+                if own == y:
+                    out.append(Fraction(i, inst.n))
+                elif own > y:
+                    out.append(Fraction(i, inst.n + 1))
+                else:
+                    out.append(Fraction(i + 1, inst.n + 1))
+        return out
+
+    def _point(self, agent, i, relations):
+        key = (agent, i)
+        if key in self.inst.slots:
+            return self.inst.grid_point(i, self.inst.slots[key])
+        return self.inst.take_slot(agent, i, relations[key])
+
+
+def _outcome(session, batch):
+    try:
+        return session.submit_round(batch)
+    except Exception as exc:  # the class is what both sides must agree on
+        return exc.__class__
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_backend_matches_free_list_reference(data):
+    """Batch for batch, the counted slots and two-pass answering give the
+    same answers, slots, exceptions and rank probes as the reference."""
+    n = data.draw(st.integers(min_value=1, max_value=6), label="n")
+    perm = data.draw(st.permutations(range(1, n + 1)), label="perm")
+    k = data.draw(st.integers(min_value=1, max_value=3), label="k")
+    sides = []
+    for backend_class in (AdversaryCakeBackend, ReferenceCakeBackend):
+        rank_session = open_session(HiddenInstance(tuple(perm)), k)
+        backend = backend_class(n, rank_session)
+        sides.append((backend, Session(backend, k), rank_session))
+    agents = st.integers(min_value=1, max_value=n)
+    odd_agents = st.sampled_from([0, n + 1, True])
+    grid_cuts = st.integers(min_value=0, max_value=n).map(
+        lambda i: Fraction(i, n))
+    outside_cuts = st.sampled_from([Fraction(-1, n), Fraction(n + 1, n)])
+    any_cuts = st.fractions(min_value=-1, max_value=2,
+                            max_denominator=3 * n + 2)
+    fixed_points = st.sampled_from([Fraction(0), Fraction(1), 0, 1])
+    non_points = st.fractions(min_value=0, max_value=1, max_denominator=50)
+    junk = st.sampled_from([RankQuery(1, 1), ("cut", 1, 0), None])
+    for _ in range(k + 1):  # the last batch is one more than k
+        points = sorted(sides[1][0].inst.points)
+        earlier = st.sampled_from(points) if points else fixed_points
+        queries = [st.builds(CutQuery, agents, grid_cuts),
+                   st.builds(EvalQuery, agents, earlier),
+                   st.builds(EvalQuery, agents, fixed_points)]
+        # odd queries in only some batches, so that many batches are accepted
+        if data.draw(st.booleans(), label="odd"):
+            queries += [st.builds(CutQuery, odd_agents, grid_cuts),
+                        st.builds(CutQuery, agents, any_cuts),
+                        st.builds(CutQuery, agents, outside_cuts),
+                        st.builds(EvalQuery, odd_agents, earlier),
+                        st.builds(EvalQuery, odd_agents, fixed_points),
+                        st.builds(EvalQuery, agents, non_points),
+                        junk]
+        batch = data.draw(st.lists(st.one_of(queries), max_size=8),
+                          label="batch")
+        new, ref = (_outcome(session, batch) for _, session, _ in sides)
+        assert new == ref
+        assert sides[0][0].inst.slots == sides[1][0].inst.slots
+        assert sides[0][2].transcript() == sides[1][2].transcript()
