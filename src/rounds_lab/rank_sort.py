@@ -14,6 +14,13 @@ ranks, silently packs those items at the bottom, names the item just above
 them, and repeats on the rest within the same round. Everything it says
 stays consistent with at least one total order, which forces any correct
 sorter to pay for the separations it needs.
+
+Each such step costs O(m + P) for a stretch of m items holding P probes:
+one pass records every item's lowest probed rank, and one counting pass
+over those finds x. A batch maps every open item to its stretch once.
+The steps run as a loop, so the stack depth does not grow with n. A sorter
+with one round probes every item at every inner rank, so x = 0 at every
+step and its m steps cost O(m*P).
 """
 
 from dataclasses import dataclass, field
@@ -129,50 +136,58 @@ def _commit(state, items, lo, hi):
 
 
 def _carve(state, items, lo, hi, local, answers):
+    """Answer the probes `local` on one open segment and commit the order
+    they force, one loop step per pinned item."""
     # local: (answer position, item, threshold) with thresholds in [lo, hi]
-    if not local:
-        _commit(state, items, lo, hi)
-        return
-    m = hi - lo + 1
-    probed = {}
-    for _, item, t in local:
-        probed.setdefault(item, set()).add(t - lo + 1)
-
-    def untouched_below(x):
-        return [i for i in items
-                if not any(tau <= x for tau in probed.get(i, ()))]
-
-    x = 0
-    for cand in range(m - 1, 0, -1):
-        if len(untouched_below(cand)) >= cand:
-            x = cand
-            break
-    low = untouched_below(x)[:x]  # smallest item ids that qualify
-    low_set = set(low)
-    rest = [i for i in items if i not in low_set]
-    mid = rest[0]
-    state.resolved[mid] = lo + x
-    _commit(state, low, lo, lo + x - 1)
-    deeper = []
-    for pos, item, t in local:
-        if item in low_set:
-            answers[pos] = LESS  # its rank is at most lo + x - 1 < t
-        elif item == mid:
-            answers[pos] = compare(lo + x, t)
-        elif t <= lo + x:
-            answers[pos] = GREATER
-        else:
-            deeper.append((pos, item, t))
-    high = rest[1:]
-    if high:
-        _carve(state, tuple(high), lo + x + 1, hi, deeper, answers)
-    else:
-        assert not deeper
+    while local:
+        m = hi - lo + 1
+        lowest = dict.fromkeys(items, hi)  # lowest probed threshold, capped at hi
+        for _, item, t in local:
+            if t < lowest[item]:
+                lowest[item] = t
+        count = [0] * (m + 1)  # items by lowest probed offset, 1..m
+        for t in lowest.values():
+            count[t - lo + 1] += 1
+        # largest x in [1, m - 1] with at least x items whose lowest
+        # offset exceeds x; above holds that item count for x = cand
+        x = 0
+        above = count[m]
+        for cand in range(m - 1, 0, -1):
+            if above >= cand:
+                x = cand
+                break
+            above += count[cand]
+        cut = lo + x  # mid's rank; low takes [lo, cut - 1], the rest above
+        low = []  # smallest item ids that qualify
+        rest = []
+        for i in items:
+            if len(low) < x and lowest[i] >= cut:
+                low.append(i)
+            else:
+                rest.append(i)
+        low_set = set(low)
+        mid = rest[0]
+        state.resolved[mid] = cut
+        _commit(state, low, lo, cut - 1)
+        deeper = []
+        for entry in local:
+            pos, item, t = entry
+            if item in low_set:
+                answers[pos] = LESS  # its rank is below cut <= t
+            elif item == mid:
+                answers[pos] = compare(cut, t)
+            elif t <= cut:
+                answers[pos] = GREATER
+            else:
+                deeper.append(entry)
+        items, lo, local = rest[1:], cut + 1, deeper
+    _commit(state, items, lo, hi)
 
 
 def adversary_round(state, queries):
     """Answer one batch while committing as little order as possible."""
     answers = [None] * len(queries)
+    segment_of = {item: seg for seg in state.segments for item in seg.items}
     by_segment = {}
     for pos, q in enumerate(queries):
         if q.__class__ is not RankQuery:
@@ -185,7 +200,7 @@ def adversary_round(state, queries):
         if item in state.resolved:
             answers[pos] = compare(state.resolved[item], t)
             continue
-        seg = next((s for s in state.segments if item in s.items), None)
+        seg = segment_of.get(item)
         if seg is None:
             raise InconsistentQuery("item %d belongs nowhere" % (item,))
         if t < seg.lo:
@@ -194,8 +209,8 @@ def adversary_round(state, queries):
             answers[pos] = LESS
         else:
             by_segment.setdefault(id(seg), (seg, []))[1].append((pos, item, t))
+    state.segments = [s for s in state.segments if id(s) not in by_segment]
     for seg, local in by_segment.values():
-        state.segments.remove(seg)
         _carve(state, seg.items, seg.lo, seg.hi, local, answers)
     return answers
 

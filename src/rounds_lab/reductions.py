@@ -112,10 +112,13 @@ class AdversaryCakeInstance:
     def __post_init__(self):
         if self.epsilon is None:
             self.epsilon = Fraction(1, self.n ** 4 + 1)
-        if self.pi is not None:
-            self.pi = tuple(self.pi)
-            if sorted(self.pi) != list(range(1, self.n + 1)):
+
+    def __setattr__(self, name, value):
+        if name == "pi" and value is not None:
+            value = tuple(value)
+            if sorted(value) != list(range(1, self.n + 1)):
                 raise ValueError("pi must be a permutation of 1..n")
+        object.__setattr__(self, name, value)
 
     def grid_point(self, i, c):
         return Fraction(i, self.n + 1) + c * self.epsilon
@@ -262,12 +265,17 @@ def run_reduction(cake_protocol, n, rank_session):
     cake_protocol is a callable (session, n) -> Allocation. Returns the
     recovered ranks plus the division transcript and allocation so callers
     can audit the costs. Raises ProtocolNotPrimitive for off-grid cuts and
-    NotProportional when some agent ends up short of 1/n."""
+    NotProportional when some agent ends up short of 1/n, and ValueError
+    before the protocol runs when the rank session does not hold n items."""
+    ranks = rank_session.backend.ranks
+    if len(ranks) != n:
+        raise ValueError("the rank session holds %d items, not n = %d"
+                         % (len(ranks), n))
     backend = AdversaryCakeBackend(n, rank_session)
     session = Session(backend, rank_session.k_limit)
     allocation = cake_protocol(session, n)
     inst = backend.inst
-    inst.pi = tuple(rank_session.backend.ranks)  # fill the rest consistently
+    inst.pi = ranks  # fill the rest consistently
     agents = [realized_density(inst, p) for p in range(1, n + 1)]
     ok, _ = verify_proportional(allocation, agents)
     if not ok:

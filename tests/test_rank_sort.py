@@ -1,15 +1,17 @@
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rounds_lab.oracle import (EQUAL, GREATER, LESS, HiddenInstance,
                                MalformedQuery, RankQuery, RoundLimitExceeded,
-                               Session, open_session, random_instance)
-from rounds_lab.rank_sort import (AlgorithmIncorrect, block_thresholds,
-                                  consistent_witness, forced_query_count,
-                                  new_adversary, adversary_round, sort_rank,
+                               Session, compare, open_session, random_instance)
+from rounds_lab.rank_sort import (AlgorithmIncorrect, InconsistentQuery,
+                                  _commit, block_thresholds, consistent_witness,
+                                  forced_query_count, new_adversary,
+                                  adversary_round, sort_rank,
                                   sorting_lower_bound)
 
 
@@ -148,3 +150,154 @@ def test_lower_bound_values():
     assert sorting_lower_bound(1, 64) > 0
     with pytest.raises(ValueError):
         sorting_lower_bound(0, 4)
+
+
+def test_opponent_forces_floor_where_it_binds():
+    for n, k in ((1024, 2), (4096, 3)):
+        assert sorting_lower_bound(k, n) > 0
+        assert forced_query_count(sort_rank, n, k) >= sorting_lower_bound(k, n)
+
+
+def test_carve_depth_does_not_grow_with_n():
+    """At k = 1 every item is probed at offset 1, so each carve step pins
+    one item; the steps must not each take a stack frame."""
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 60)
+    try:
+        assert forced_query_count(sort_rank, 200, 1) == 200 * 199
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+# The recursive opponent that the counting pass replaced: it retries every
+# x from m - 1 down, rescanning all probes per try, and recurses on the
+# high remainder. Kept as the reference for the differential tests.
+
+def reference_carve(state, items, lo, hi, local, answers):
+    if not local:
+        _commit(state, items, lo, hi)
+        return
+    m = hi - lo + 1
+    probed = {}
+    for _, item, t in local:
+        probed.setdefault(item, set()).add(t - lo + 1)
+
+    def untouched_below(x):
+        return [i for i in items
+                if not any(tau <= x for tau in probed.get(i, ()))]
+
+    x = 0
+    for cand in range(m - 1, 0, -1):
+        if len(untouched_below(cand)) >= cand:
+            x = cand
+            break
+    low = untouched_below(x)[:x]
+    low_set = set(low)
+    rest = [i for i in items if i not in low_set]
+    mid = rest[0]
+    state.resolved[mid] = lo + x
+    _commit(state, low, lo, lo + x - 1)
+    deeper = []
+    for pos, item, t in local:
+        if item in low_set:
+            answers[pos] = LESS
+        elif item == mid:
+            answers[pos] = compare(lo + x, t)
+        elif t <= lo + x:
+            answers[pos] = GREATER
+        else:
+            deeper.append((pos, item, t))
+    high = rest[1:]
+    if high:
+        reference_carve(state, tuple(high), lo + x + 1, hi, deeper, answers)
+    else:
+        assert not deeper
+
+
+def reference_round(state, queries):
+    answers = [None] * len(queries)
+    by_segment = {}
+    for pos, q in enumerate(queries):
+        item, t = q.item, q.threshold
+        if item in state.resolved:
+            answers[pos] = compare(state.resolved[item], t)
+            continue
+        seg = next((s for s in state.segments if item in s.items), None)
+        if seg is None:
+            raise InconsistentQuery("item %d belongs nowhere" % (item,))
+        if t < seg.lo:
+            answers[pos] = GREATER
+        elif t > seg.hi:
+            answers[pos] = LESS
+        else:
+            by_segment.setdefault(id(seg), (seg, []))[1].append((pos, item, t))
+    for seg, local in by_segment.values():
+        state.segments.remove(seg)
+        reference_carve(state, seg.items, seg.lo, seg.hi, local, answers)
+    return answers
+
+
+class ReferenceOpponent:
+    def __init__(self, n):
+        self.state = new_adversary(n)
+
+    def answer_batch(self, queries):
+        return reference_round(self.state, queries)
+
+
+def reference_forced_count(n, k):
+    session = Session(ReferenceOpponent(n), k)
+    claimed = sort_rank(session, n, k)
+    state = session.backend.state
+    assert all(len(seg.items) < 2 for seg in state.segments)
+    assert claimed == consistent_witness(state)
+    return session.total_queries
+
+
+def segment_list(state):
+    return [(tuple(s.items), s.lo, s.hi) for s in state.segments]
+
+
+@st.composite
+def probe_batches(draw, state):
+    """A batch whose thresholds fall below, inside and above the probed
+    item's open segment (or around its committed rank), with repeats."""
+    n = state.n
+    batch = []
+    for _ in range(draw(st.integers(min_value=0, max_value=2 * n))):
+        item = draw(st.integers(min_value=1, max_value=n))
+        seg = next((s for s in state.segments if item in s.items), None)
+        lo, hi = (seg.lo, seg.hi) if seg else (state.resolved[item],) * 2
+        where = [st.integers(min_value=lo, max_value=hi)]
+        if lo > 1:
+            where.append(st.integers(min_value=1, max_value=lo - 1))
+        if hi < n:
+            where.append(st.integers(min_value=hi + 1, max_value=n))
+        batch.append(RankQuery(item, draw(st.one_of(where))))
+    if batch:
+        repeats = draw(st.lists(st.sampled_from(batch), max_size=n))
+        batch = draw(st.permutations(batch + repeats))
+    return batch
+
+
+@settings(deadline=None, max_examples=400)
+@given(st.integers(min_value=1, max_value=14), st.data())
+def test_opponent_matches_recursive_reference(n, data):
+    """Round for round, the counting pass gives the same answers, committed
+    ranks and open segments as the recursive reference."""
+    new, ref = new_adversary(n), new_adversary(n)
+    for _ in range(data.draw(st.integers(min_value=1, max_value=4), label="rounds")):
+        batch = data.draw(probe_batches(ref), label="batch")
+        assert adversary_round(new, batch) == reference_round(ref, batch)
+        assert new.resolved == ref.resolved
+        assert segment_list(new) == segment_list(ref)
+
+
+def test_forced_counts_match_recursive_reference():
+    for n in range(1, 65):
+        for k in range(1, 5):
+            assert forced_query_count(sort_rank, n, k) == reference_forced_count(n, k)

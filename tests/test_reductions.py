@@ -143,6 +143,26 @@ def test_bridge_rejects_off_grid_cuts():
         run_reduction(sloppy, 2, rank_sess)
 
 
+def test_reduction_needs_n_items_in_the_rank_session():
+    for ranks in ((1, 2, 3, 4), (2, 5, 1, 4, 3)):
+        rank_sess = open_session(HiddenInstance(ranks), 2)
+        with pytest.raises(ValueError):
+            run_reduction(protocol(2), 3, rank_sess)
+        assert rank_sess.rounds_used == 0  # rejected before the protocol ran
+
+
+def test_hidden_positions_are_checked_when_set():
+    inst = AdversaryCakeInstance(n=3)
+    for bad in ((1, 2, 2), (1, 2), (1, 2, 3, 4), (0, 1, 2)):
+        with pytest.raises(ValueError):
+            inst.pi = bad
+        with pytest.raises(ValueError):
+            AdversaryCakeInstance(n=3, pi=bad)
+    assert inst.pi is None
+    inst.pi = [3, 1, 2]
+    assert inst.pi == (3, 1, 2)
+
+
 class ReferenceCakeInstance(AdversaryCakeInstance):
     """The free-list slot rule that the per-grid (below, above) counts
     replaced: a mark below i takes the lowest free point, a mark above i
