@@ -117,12 +117,9 @@ class Allocation:
     owners: tuple  # agent ids aligned with pieces
 
 
-def verify_proportional(allocation, agents):
-    """Exact check that every agent values her slice at least 1/n.
-
-    Returns (ok, values) with values listed by agent id.
-    """
-    n = len(agents)
+def check_allocation(allocation, n):
+    """Raise MalformedAllocation unless agents 1..n hold one slice each and
+    the slices tile [0, 1] left to right."""
     pieces, owners = allocation.pieces, allocation.owners
     if len(pieces) != n or sorted(owners) != list(range(1, n + 1)):
         raise MalformedAllocation("need exactly one slice per agent")
@@ -133,6 +130,16 @@ def verify_proportional(allocation, agents):
         edge = hi
     if edge != 1:
         raise MalformedAllocation("slices must end at 1")
+
+
+def verify_proportional(allocation, agents):
+    """Exact check that every agent values her slice at least 1/n.
+
+    Returns (ok, values) with values listed by agent id.
+    """
+    n = len(agents)
+    pieces, owners = allocation.pieces, allocation.owners
+    check_allocation(allocation, n)
     piece_of = {owner: piece for piece, owner in zip(pieces, owners)}
     values = []
     for agent_id in range(1, n + 1):

@@ -15,7 +15,8 @@ DEFAULT_TRIALS = {"locate": 100_000, "select": 100_000,
                   "bounds": 1, "brute": 1}
 
 KNOWN_ERRORS = (harness.InfeasibleExact, harness.SearchSpaceTooLarge,
-                harness.IoFailure, cake_mod.MalformedAllocation,
+                harness.IoFailure, harness.OverBudget,
+                cake_mod.MalformedAllocation,
                 NotProportional, ProtocolNotPrimitive, MalformedQuery,
                 ValueError, OSError)
 

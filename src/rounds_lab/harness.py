@@ -17,7 +17,7 @@ from . import reductions
 from . import select as select_mod
 from .oracle import HiddenInstance, open_session, random_instance
 from .rank_sort import forced_query_count, sort_rank, sorting_lower_bound
-from .util import ceil_div, ceil_kth_root
+from .util import ceil_div, ceil_kth_root, root_multiple_exceeds
 
 DEFAULT_BUDGET = 10 ** 7
 BUDGET_ENV = "ROUNDS_LAB_BUDGET"
@@ -36,6 +36,10 @@ class IoFailure(Exception):
     pass
 
 
+class OverBudget(Exception):
+    pass
+
+
 def trial_rng(seed, trial):
     """Independent stream per (seed, trial); stable across runs."""
     return random.Random((seed << 40) + trial)
@@ -50,6 +54,16 @@ def exact_budget():
     if value < 1:
         raise ValueError("%s must be a positive integer" % (BUDGET_ENV,))
     return value
+
+
+def _refuse_over_budget(problem, c, n, k, extra=0):
+    """Refuse a sampled run when one trial may cost c * n**(1/k) + extra
+    evaluations, more than the budget; decided in exact integers."""
+    budget = exact_budget()
+    if root_multiple_exceeds(c, n, k, budget - extra):
+        raise OverBudget("one sampled %s trial may need more than %d "
+                         "evaluations, the %s budget"
+                         % (problem, budget, BUDGET_ENV))
 
 
 def bounds(n, k, p):
@@ -188,7 +202,7 @@ def _run_locate(cfg):
         for r in range(1, n + 1):
             sess = open_session(HiddenInstance(ranks, target_index=r), k)
             got = run(sess)
-            counts.append(sess.transcript().total_queries)
+            counts.append(sess.total_queries)
             if got == r:
                 hits += 1
             elif got is not None:
@@ -204,7 +218,7 @@ def _run_locate(cfg):
         r = rng.randrange(1, n + 1)
         sess = open_session(HiddenInstance(ranks, target_index=r), k)
         got = locate_mod.locate_rand(sess, n, k, p, rng)
-        counts.append(sess.transcript().total_queries)
+        counts.append(sess.total_queries)
         hits += got == r
     m, ci = _mean_ci(counts)
     succ = hits / cfg.trials
@@ -235,7 +249,7 @@ def _run_select(cfg):
         sess = open_session(HiddenInstance(range(1, n + 1),
                                            target_index=target), k)
         got = select_mod.select_rand(sess, n, k, p, rng)
-        counts.append(sess.transcript().total_queries)
+        counts.append(sess.total_queries)
         hits += got == target
     m, ci = _mean_ci(counts)
     succ = hits / cfg.trials
@@ -251,6 +265,14 @@ def _sort_cap(n, k):
 
 def _run_sort(cfg):
     n, k = cfg.n, cfg.k
+    if cfg.mode == "mc":
+        # a trial asks at most 2k*n**(1+1/k) queries and so does the forced
+        # count, except that at k = 1 its opponent scans all n(n - 1) probes
+        # at each of n carve steps
+        if k == 1:
+            _refuse_over_budget("sort", 2 * n, n, 1, extra=n ** 3)
+        else:
+            _refuse_over_budget("sort", 4 * k * n, n, k)
     b = bounds(n, k, cfg.p)
     cap = _sort_cap(n, k)
     if cfg.mode == "exact":
@@ -271,7 +293,7 @@ def _run_sort(cfg):
         inst = HiddenInstance(tuple(perm))
         sess = open_session(inst, k)
         got = sort_rank(sess, n, k)
-        counts.append(sess.transcript().total_queries)
+        counts.append(sess.total_queries)
         correct = correct and got == inst.ranks
     forced = forced_query_count(sort_rank, n, k)
     ok = correct and max(counts) <= cap and forced >= max(0.0, b["thm5"])
@@ -311,6 +333,9 @@ def _run_cake(cfg, fixed_agents=None):
 
 def _run_reduce(cfg):
     n, k = cfg.n, cfg.k
+    if cfg.mode == "mc":
+        # the division queries of one trial: cake_query_cap
+        _refuse_over_budget("reduce", k * n, n, k, extra=k * n)
     b = bounds(n, k, cfg.p)
     if cfg.mode == "exact":
         est = math.factorial(n) * n * n

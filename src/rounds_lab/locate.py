@@ -33,6 +33,18 @@ class RankDistribution:
         w = self.weights
         return tuple(sorted(range(1, len(w) + 1), key=lambda r: (-w[r - 1], r)))
 
+    @cached_property
+    def _tops(self):
+        return {}
+
+    def _top(self, count):
+        """The `count` most probable ranks in increasing order; sorted once
+        per count."""
+        top = self._tops.get(count)
+        if top is None:
+            top = self._tops[count] = tuple(sorted(self.order[:count]))
+        return top
+
 
 def probe_positions(count, rounds_left):
     """0-based probe positions among `count` sorted candidates.
@@ -68,6 +80,11 @@ def locate_det_subset(session, n, k, ranks):
         cands = ranks  # already sorted and duplicate-free
     else:
         cands = sorted(set(ranks))
+    return _locate_sorted(session, n, k, cands)
+
+
+def _locate_sorted(session, n, k, cands):
+    """locate_det_subset over candidates already sorted and duplicate-free."""
     if not cands or cands[0] < 1 or cands[-1] > n:
         raise ValueError("candidate ranks must be a nonempty subset of 1..n")
     if k < 1:
@@ -127,4 +144,4 @@ def locate_det_dist(session, n, k, p, dist):
         raise ValueError("p must be in (0, 1]")
     if len(dist.weights) != n:
         raise ValueError("dist must weigh exactly the ranks 1..n")
-    return locate_det_subset(session, n, k, dist.order[:ceil(p * n)])
+    return _locate_sorted(session, n, k, dist._top(ceil(p * n)))

@@ -243,7 +243,7 @@ def forced_query_count(algorithm, n, k):
     if claimed != witness:
         raise AlgorithmIncorrect(
             "claimed %r but the committed order is %r" % (claimed, witness))
-    return session.transcript().total_queries
+    return session.total_queries
 
 
 def sorting_lower_bound(k, n):

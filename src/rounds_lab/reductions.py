@@ -12,13 +12,20 @@ mass in n + 1 narrow spikes whose positions are decided lazily, one rank
 probe per new mark. Any division protocol that only ever cuts at multiples
 of 1/n and ends proportional is thereby forced to reveal the hidden
 ordering of the agents.
+
+`run_reduction` checks the final allocation without building any density.
+Each inner slice boundary must be a grid point, and each owner's value of
+her slice has a closed form in integer grid coordinates, the same one the
+eval answers use. The check costs O(n) Fraction steps for the boundaries
+and O(1) integer work per owner, plus O(n) for each boundary grid on which
+an owner's mark was never requested (`run_proportional` requests them
+all).
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .cake import (CutQuery, EvalQuery, MalformedAllocation, PiecewiseDensity,
-                   verify_proportional)
+from .cake import CutQuery, EvalQuery, check_allocation
 from .oracle import (LESS, GREATER, ComparisonQuery, MalformedQuery, RankQuery,
                      Session, TARGET, compare, flip, is_identity)
 
@@ -142,44 +149,6 @@ class AdversaryCakeInstance:
         return self.grid_point(i, self.slots[key])
 
 
-def instance_cut(inst, agent, i):
-    """The mark revealed for a cut request at value i/n (needs pi)."""
-    assert inst.pi is not None
-    return inst.take_slot(agent, i, compare(inst.pi[agent - 1], i))
-
-
-def realized_density(inst, agent):
-    """The exact step density matching every answer given to this agent.
-
-    Mass i/(n*(n+1)) sits immediately left of her i/n mark and
-    (n-i)/(n*(n+1)) immediately right, in strips of width eps/2; the value
-    of [0, mark_i] is then exactly i/n.
-    """
-    assert inst.pi is not None
-    n = inst.n
-    half = inst.epsilon / 2
-    unit = Fraction(1, n * (n + 1))
-    marks = [Fraction(0)] + [instance_cut(inst, agent, i)
-                             for i in range(1, n + 1)]
-    bps = [Fraction(0)]
-    hs = []
-    for i, y in enumerate(marks):
-        for lo, hi, mass in ((y - half, y, i * unit),
-                             (y, y + half, (n - i) * unit)):
-            if mass == 0:
-                continue
-            assert lo >= bps[-1]
-            if lo > bps[-1]:
-                bps.append(lo)
-                hs.append(Fraction(0))
-            bps.append(hi)
-            hs.append(mass / half)
-    if bps[-1] < 1:
-        bps.append(Fraction(1))
-        hs.append(Fraction(0))
-    return PiecewiseDensity(breakpoints=tuple(bps), heights=tuple(hs))
-
-
 class AdversaryCakeBackend:
     """Answers division queries by pinning spikes on demand, spending at
     most one rank probe per new mark. Each division batch turns into
@@ -240,22 +209,66 @@ class AdversaryCakeBackend:
         return out
 
 
-def recover_permutation(allocation, instance):
-    """Ranks implied by slice order: the agent holding the i-th slice sits
-    at hidden position i. Boundary i must land on grid i."""
-    n = instance.n
-    if len(allocation.pieces) != n:
-        raise MalformedAllocation("expected %d slices" % (n,))
+def _unrequested_slot(inst, agent, i):
+    """The grid-i slot of a mark the protocol never requested.
+
+    Filling every missing mark, agent by agent, touches grid i's counts only
+    through grid i's own marks, so the slot is what an agent-id-order fill
+    of that one grid gives: O(n).
+    """
+    pi, slots = inst.pi, inst.slots
+    own = pi[agent - 1]
+    low, high = inst.counts.get(i, (0, 0))
+    if own < i:
+        return low + 1 + sum(1 for p in range(1, agent)
+                             if pi[p - 1] < i and (p, i) not in slots)
+    if own > i:
+        return inst.n - high - sum(1 for p in range(1, agent)
+                                   if pi[p - 1] > i and (p, i) not in slots)
+    return i
+
+
+def _grid_ranks(allocation, inst):
+    """Ranks implied by a proportional allocation of the spiky cake.
+
+    Boundary i must be the grid-i point (i, c) with 1 <= c <= n, else
+    NotProportional. Scaled by n(n+1), an agent whose grid-i mark sits at
+    slot own values [0, (i, c)] at i(n+1) when c == own, i*n when c < own
+    and (i+1)*n when c > own; [0, 0] is worth 0 and [0, 1] is worth
+    n(n+1). An owner valuing her slice under n + 1 raises NotProportional.
+    The agent holding the i-th slice sits at hidden position i. Needs
+    inst.pi and an allocation that passed `check_allocation`.
+    """
+    n = inst.n
+    pi = inst.pi
+    pieces = allocation.pieces
+    grid = [0]  # slot c of each inner boundary, by boundary index
     for i in range(1, n):
-        y = allocation.pieces[i - 1][1]
-        c = (y - Fraction(i, n + 1)) / instance.epsilon
+        y = pieces[i - 1][1]
+        c = (Fraction(y) - Fraction(i, n + 1)) / inst.epsilon
         if c.denominator != 1 or not 1 <= c <= n:
             raise NotProportional("slice boundary %s sits off grid %d" % (y, i))
+        grid.append(int(c))
+
+    def scaled(agent, i):
+        if i == 0 or i == n:
+            return i * (n + 1)
+        own = inst.slots.get((agent, i))
+        if own is None:
+            own = _unrequested_slot(inst, agent, i)
+        # marks increase: every slot sits on grid i, on its relation's side
+        assert 1 <= own <= n and compare(own, i) == compare(pi[agent - 1], i)
+        c = grid[i]
+        return i * (n + 1) if c == own else i * n if c < own else (i + 1) * n
+
     ranks = [None] * n
     for position, agent in enumerate(allocation.owners, start=1):
+        value = scaled(agent, position) - scaled(agent, position - 1)
+        if value < n + 1:
+            raise NotProportional(
+                "agent %d values her slice at %s, under 1/%d"
+                % (agent, Fraction(value, n * (n + 1)), n))
         ranks[agent - 1] = position
-    if sorted(ranks) != list(range(1, n + 1)):
-        raise MalformedAllocation("owners are not a permutation")
     return tuple(ranks)
 
 
@@ -264,9 +277,11 @@ def run_reduction(cake_protocol, n, rank_session):
 
     cake_protocol is a callable (session, n) -> Allocation. Returns the
     recovered ranks plus the division transcript and allocation so callers
-    can audit the costs. Raises ProtocolNotPrimitive for off-grid cuts and
-    NotProportional when some agent ends up short of 1/n, and ValueError
-    before the protocol runs when the rank session does not hold n items."""
+    can audit the costs. Raises ProtocolNotPrimitive for off-grid cuts,
+    MalformedAllocation for slices that do not tile [0, 1] one per agent,
+    NotProportional for a slice boundary off its grid or some agent short
+    of 1/n, and ValueError before the protocol runs when the rank session
+    does not hold n items."""
     ranks = rank_session.backend.ranks
     if len(ranks) != n:
         raise ValueError("the rank session holds %d items, not n = %d"
@@ -275,10 +290,6 @@ def run_reduction(cake_protocol, n, rank_session):
     session = Session(backend, rank_session.k_limit)
     allocation = cake_protocol(session, n)
     inst = backend.inst
-    inst.pi = ranks  # fill the rest consistently
-    agents = [realized_density(inst, p) for p in range(1, n + 1)]
-    ok, _ = verify_proportional(allocation, agents)
-    if not ok:
-        raise NotProportional("the allocation undervalues some agent")
-    return recover_permutation(allocation, inst), session.transcript(), allocation
-
+    inst.pi = ranks
+    check_allocation(allocation, n)
+    return _grid_ranks(allocation, inst), session.transcript(), allocation

@@ -22,6 +22,56 @@ def ceil_kth_root(n, k):
     return z if z ** k == n else z + 1
 
 
+def root_multiple_exceeds(c, n, k, bound):
+    """Whether c * n**(1/k) > bound, decided exactly for integers c >= 0,
+    n >= 1, k >= 1 and any integer bound.
+
+    With x = bound / c >= 1 the question is whether x**k < n. x**k is
+    bracketed in fixed point by repeated squaring, stopping as soon as the
+    lower end passes n, with precision doubled until n falls outside the
+    bracket; so no power grows with k the way bound**k would.
+    """
+    if bound < 0:
+        return True
+    if c == 0:
+        return False
+    if bound < c:
+        return True  # n**(1/k) >= 1
+    if n == 1:
+        return False
+    bits = 64
+    while True:
+        target = n << bits
+        scaled = bound << bits
+        lo, hi = _fixed_power_bracket(scaled // c, -(-scaled // c), k, bits,
+                                      target)
+        if lo > target or lo == hi == target:
+            return False
+        if hi < target:
+            return True
+        bits *= 2
+
+
+def _fixed_power_bracket(lo, hi, k, bits, cap):
+    """Bounds on x**k, all numbers scaled by 2**bits, from bounds on x >= 1.
+    Returns early once the lower bound of a partial power passes cap: the
+    partial powers of x >= 1 never exceed x**k."""
+    rlo = rhi = 1 << bits
+    while True:
+        if k & 1:
+            rlo = (rlo * lo) >> bits
+            rhi = -(-(rhi * hi) >> bits)
+            if rlo > cap:
+                return rlo, rhi
+        k >>= 1
+        if not k:
+            return rlo, rhi
+        lo = (lo * lo) >> bits
+        hi = -(-(hi * hi) >> bits)
+        if lo > cap:
+            return lo, hi
+
+
 def ceil_log2(n):
     """Smallest k with 2**k >= n."""
     if n < 1:

@@ -103,6 +103,31 @@ def test_missing_required_flags():
         cli.main(["mystery", "--n", "4", "--k", "1"])
 
 
+def test_sampled_runs_over_the_budget_are_refused(capsys):
+    for argv in (("sort", "--n", "100000", "--k", "1"),
+                 ("sort", "--n", str(10 ** 400), "--k", "3"),
+                 ("reduce", "--n", "4000", "--k", "1")):
+        code, out, err = run_cli(capsys, *argv, "--mode", "mc", "--trials", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith("OverBudget: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("problem,n,k,cap", [
+    ("sort", 10, 1, 2 * 10 ** 2 + 10 ** 3),   # trial cap, then the k = 1 opponent
+    ("sort", 16, 2, 2 * (2 * 2 * 16 * 4)),    # trial cap and forced count
+    ("reduce", 16, 2, 2 * 16 * 4 + 2 * 16),   # k*n**(1+1/k) + k*n
+])
+def test_budget_guards_one_sampled_trial(capsys, monkeypatch, problem, n, k, cap):
+    argv = (problem, "--n", str(n), "--k", str(k), "--mode", "mc")
+    monkeypatch.setenv(harness.BUDGET_ENV, str(cap - 1))
+    code, out, err = run_cli(capsys, *argv, "--trials", "1")
+    assert (code, out) == (2, "") and "OverBudget" in err
+    monkeypatch.setenv(harness.BUDGET_ENV, str(cap))
+    # the guard is per trial: many trials at the cap still run
+    code, out, err = run_cli(capsys, *argv, "--trials", "5")
+    assert code == 0 and err == "" and parse_rows(out)[0]["trials"] == "5"
+
+
 # Measurement columns (problem through success_rate, plus pass) on a fixed
 # grid of fast invocations. The thm* columns are left out: they come from
 # libm pow and may differ in the last digit across platforms.

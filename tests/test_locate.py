@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from rounds_lab.locate import (RankDistribution, locate_det, locate_det_dist,
                                locate_det_subset, locate_rand, probe_positions)
@@ -222,3 +222,20 @@ def test_locate_on_range_instance_scales_with_queries(k):
         assert locate_det(sess, n, k) == target
         assert sess.total_queries <= k * ceil_kth_root(n, k)
         assert sess.rounds_used <= k
+
+
+@settings(deadline=None)
+@given(st.integers(min_value=1, max_value=200), st.integers(min_value=1, max_value=6),
+       st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)]),
+       st.data())
+def test_cached_distribution_prefix_matches_unsorted_prefix(n, k, p, data):
+    """locate_det_dist on the cached sorted prefix gives the results and
+    transcripts of locate_det_subset on the raw most-probable prefix."""
+    raw = data.draw(st.lists(st.integers(min_value=0, max_value=3),
+                             min_size=n, max_size=n).filter(any), label="weights")
+    dist = RankDistribution(tuple(Fraction(w, sum(raw)) for w in raw))
+    for r in range(1, n + 1):
+        new, old = identity_sessions(n, k, r)
+        assert (locate_det_dist(new, n, k, p, dist)
+                == locate_det_subset(old, n, k, dist.order[:math.ceil(p * n)]))
+        assert new.transcript() == old.transcript()

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import random
 from fractions import Fraction
@@ -5,16 +6,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rounds_lab.cake import CutQuery, EvalQuery, run_proportional
+from rounds_lab.cake import (Allocation, CutQuery, EvalQuery,
+                             MalformedAllocation, PiecewiseDensity,
+                             run_proportional, verify_proportional)
 from rounds_lab.locate import locate_det
 from rounds_lab.oracle import (EQUAL, GREATER, LESS, HiddenInstance,
-                               MalformedQuery, RankQuery, Session, open_session,
-                               random_instance)
+                               MalformedQuery, RankQuery, Session, compare,
+                               open_session, random_instance)
 from rounds_lab.reductions import (AdversaryCakeBackend, AdversaryCakeInstance,
-                                   ProtocolNotPrimitive, SlotExhausted,
-                                   instance_cut, ordered_to_locate_adapter,
-                                   realized_density, run_reduction,
-                                   unordered_to_select_adapter)
+                                   NotProportional, ProtocolNotPrimitive,
+                                   SlotExhausted, ordered_to_locate_adapter,
+                                   run_reduction, unordered_to_select_adapter)
 from rounds_lab.select import build_schedule, select_det
 from conftest import sorted_instance
 
@@ -57,6 +59,74 @@ def test_select_adapter_matches_native(n, data):
     b = select_det(unordered_to_select_adapter(viewed), sched, order)
     assert a == b == inst.target_index
     assert viewed.transcript().round_sizes == native.transcript().round_sizes
+
+
+# The density-based check that run_reduction's grid-coordinate verdict
+# replaced, kept here as the reference it is tested against.
+
+def instance_cut(inst, agent, i):
+    """The mark revealed for a cut request at value i/n (needs pi)."""
+    assert inst.pi is not None
+    return inst.take_slot(agent, i, compare(inst.pi[agent - 1], i))
+
+
+def realized_density(inst, agent):
+    """The exact step density matching every answer given to this agent.
+
+    Mass i/(n*(n+1)) sits immediately left of her i/n mark and
+    (n-i)/(n*(n+1)) immediately right, in strips of width eps/2; the value
+    of [0, mark_i] is then exactly i/n.
+    """
+    assert inst.pi is not None
+    n = inst.n
+    half = inst.epsilon / 2
+    unit = Fraction(1, n * (n + 1))
+    marks = [Fraction(0)] + [instance_cut(inst, agent, i)
+                             for i in range(1, n + 1)]
+    bps = [Fraction(0)]
+    hs = []
+    for i, y in enumerate(marks):
+        for lo, hi, mass in ((y - half, y, i * unit),
+                             (y, y + half, (n - i) * unit)):
+            if mass == 0:
+                continue
+            assert lo >= bps[-1]
+            if lo > bps[-1]:
+                bps.append(lo)
+                hs.append(Fraction(0))
+            bps.append(hi)
+            hs.append(mass / half)
+    if bps[-1] < 1:
+        bps.append(Fraction(1))
+        hs.append(Fraction(0))
+    return PiecewiseDensity(breakpoints=tuple(bps), heights=tuple(hs))
+
+
+def recover_permutation(allocation, instance):
+    """Ranks implied by slice order: the agent holding the i-th slice sits
+    at hidden position i. Boundary i must land on grid i."""
+    n = instance.n
+    if len(allocation.pieces) != n:
+        raise MalformedAllocation("expected %d slices" % (n,))
+    for i in range(1, n):
+        y = allocation.pieces[i - 1][1]
+        c = (y - Fraction(i, n + 1)) / instance.epsilon
+        if c.denominator != 1 or not 1 <= c <= n:
+            raise NotProportional("slice boundary %s sits off grid %d" % (y, i))
+    ranks = [None] * n
+    for position, agent in enumerate(allocation.owners, start=1):
+        ranks[agent - 1] = position
+    if sorted(ranks) != list(range(1, n + 1)):
+        raise MalformedAllocation("owners are not a permutation")
+    return tuple(ranks)
+
+
+def reference_verdict(allocation, inst, agents):
+    """Verify against the realized densities, then recover the ranks."""
+    ok, _ = verify_proportional(allocation, agents)
+    if not ok:
+        raise NotProportional("the allocation undervalues some agent")
+    return recover_permutation(allocation, inst)
 
 
 def test_adversary_cake_marks_hit_exact_values():
@@ -274,9 +344,9 @@ class ReferenceCakeBackend:
         return self.inst.take_slot(agent, i, relations[key])
 
 
-def _outcome(session, batch):
+def _verdict(f, *args):
     try:
-        return session.submit_round(batch)
+        return f(*args)
     except Exception as exc:  # the class is what both sides must agree on
         return exc.__class__
 
@@ -321,7 +391,206 @@ def test_backend_matches_free_list_reference(data):
                         junk]
         batch = data.draw(st.lists(st.one_of(queries), max_size=8),
                           label="batch")
-        new, ref = (_outcome(session, batch) for _, session, _ in sides)
+        new, ref = (_verdict(session.submit_round, batch)
+                    for _, session, _ in sides)
         assert new == ref
         assert sides[0][0].inst.slots == sides[1][0].inst.slots
         assert sides[0][2].transcript() == sides[1][2].transcript()
+
+
+def verdicts(perm, k, make_allocation, edit_lists=((),)):
+    """For each list of edits to the protocol's allocation: run_reduction's
+    ranks (or exception class) next to the density reference's, both judged
+    on the adversary state the protocol left. The protocol is deterministic,
+    so the reference fills the slots and builds the densities once."""
+    n = len(perm)
+    out = []
+    agents = None
+    for edits in edit_lists:
+        seen = []
+
+        def spy(session, n):
+            allocation = make_allocation(session, n)
+            for edit in edits:
+                allocation = edit(allocation, n)
+            seen.append((allocation, copy.deepcopy(session.backend.inst)))
+            return allocation
+
+        rank_sess = open_session(HiddenInstance(tuple(perm)), k)
+        new = _verdict(lambda: run_reduction(spy, n, rank_sess)[0])
+        allocation, inst = seen[0]
+        if agents is None:
+            inst.pi = perm
+            agents = [realized_density(inst, p) for p in range(1, n + 1)]
+        out.append((new, _verdict(reference_verdict, allocation, inst, agents)))
+    return out
+
+
+def requests_then(batches, owners, slots):
+    """Submit the given batches of (agent, i) cuts, then hand slice j to
+    owners[j - 1] with inner boundary i at grid point (i, slots[i - 1]).
+    slots="upper" puts boundary i on the mark of slice i + 1's owner, as
+    the reference fill places it: the highest point she still accepts."""
+    upper = []  # the protocol is deterministic: fill once
+
+    def make(session, n):
+        for batch in batches:
+            session.submit_round([CutQuery(a, Fraction(i, n)) for a, i in batch])
+        inst = session.backend.inst
+        grid = slots
+        if slots == "upper":
+            if not upper:
+                filled = copy.deepcopy(inst)
+                filled.pi = session.backend.rank_session.backend.ranks
+                for agent in range(1, n + 1):
+                    realized_density(filled, agent)
+                upper.extend(filled.slots[(owners[i], i)] for i in range(1, n))
+            grid = upper
+        edges = ([Fraction(0)] + [inst.grid_point(i, c)
+                                  for i, c in enumerate(grid, start=1)]
+                 + [Fraction(1)])
+        return Allocation(pieces=tuple(zip(edges, edges[1:])),
+                          owners=tuple(owners))
+    return make
+
+
+def _eps(n):
+    return Fraction(1, n ** 4 + 1)
+
+
+def swap_owners(a, b):
+    def edit(allocation, n):
+        owners = list(allocation.owners)
+        if max(a, b) > len(owners):
+            return allocation
+        owners[a - 1], owners[b - 1] = owners[b - 1], owners[a - 1]
+        return Allocation(allocation.pieces, tuple(owners))
+    return edit
+
+
+def move_boundary(i, slots):
+    """Move inner boundary i by `slots` grid steps (a Fraction moves it off
+    the grid)."""
+    def edit(allocation, n):
+        pieces = [list(p) for p in allocation.pieces]
+        if i >= len(pieces):
+            return allocation
+        pieces[i - 1][1] += slots * _eps(n)
+        pieces[i][0] += slots * _eps(n)
+        return Allocation(tuple(map(tuple, pieces)), allocation.owners)
+    return edit
+
+
+def retile(kind):
+    """Break the tiling: a gap, a missing slice, a repeated owner, or a
+    last slice that stops short of 1."""
+    def edit(allocation, n):
+        pieces, owners = list(allocation.pieces), list(allocation.owners)
+        if kind == "gap":
+            pieces[-1] = (pieces[-1][0] + _eps(n) / 3, pieces[-1][1])
+        elif kind == "drop":
+            pieces, owners = pieces[:-1], owners[:-1]
+        elif kind == "owner":
+            owners[-1] = owners[0]
+        else:
+            pieces[-1] = (pieces[-1][0], Fraction(1) - _eps(n) / 3)
+        return Allocation(tuple(pieces), tuple(owners))
+    return edit
+
+
+def true_order(perm):
+    """Owners by slice: the agent of hidden rank j holds slice j."""
+    owners = [None] * len(perm)
+    for agent, rank in enumerate(perm, start=1):
+        owners[rank - 1] = agent
+    return owners
+
+
+def test_grid_verdict_matches_density_reference_on_small_permutations():
+    """Every permutation for n <= 5 at k = 1, 2: the protocol's own
+    allocation, swapped owners and each boundary moved one slot either
+    way; then the same edits on allocations whose marks were never
+    requested, with each boundary on a reserved point or on the next
+    owner's mark."""
+    for n in range(1, 6):
+        inner = range(1, n)
+        edit_lists = ([()] + [(swap_owners(1, 2),)] * (n >= 2)
+                      + [(move_boundary(i, d),) for i in inner for d in (-1, 1)])
+        for perm in itertools.permutations(range(1, n + 1)):
+            for k in (1, 2):
+                owners = true_order(perm)
+                for make in (protocol(k),
+                             requests_then([], owners, list(inner)),
+                             requests_then([], owners, "upper")):
+                    pairs = verdicts(perm, k, make, edit_lists)
+                    assert all(new == ref for new, ref in pairs)
+                    assert pairs[0][0] == perm
+
+
+def test_grid_verdict_agrees_with_reference_on_every_failure_class():
+    perm = (3, 1, 4, 2)
+    cases = [
+        (swap_owners(1, 4), NotProportional),
+        (move_boundary(2, Fraction(1, 2)), NotProportional),
+        (move_boundary(3, -5), NotProportional),
+        (retile("gap"), MalformedAllocation),
+        (retile("drop"), MalformedAllocation),
+        (retile("owner"), MalformedAllocation),
+        (retile("short"), MalformedAllocation),
+    ]
+    pairs = verdicts(perm, 2, protocol(2), [[edit] for edit, _ in cases])
+    assert pairs == [(want, want) for _, want in cases]
+    # reserved points, one mark requested: the rest fill in agent-id order
+    assert verdicts(perm, 2, requests_then([[(1, 2)]], true_order(perm),
+                                           [1, 2, 3])) == [(perm, perm)]
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_grid_verdict_matches_density_reference(data):
+    """Random permutations up to n = 48: protocol allocations and
+    hand-built ones over partly requested marks, with random edits."""
+    n = data.draw(st.integers(min_value=1, max_value=48), label="n")
+    perm = tuple(data.draw(st.permutations(range(1, n + 1)), label="perm"))
+    k = data.draw(st.integers(min_value=1, max_value=3), label="k")
+    inner = st.integers(min_value=1, max_value=max(1, n - 1))
+    edit = st.one_of(
+        st.builds(swap_owners, st.integers(1, n), st.integers(1, n)),
+        st.builds(move_boundary, inner,
+                  st.sampled_from([-2, -1, 1, 2, Fraction(1, 2), -n])),
+        st.builds(retile, st.sampled_from(["gap", "drop", "owner", "short"])))
+    edit_lists = data.draw(st.lists(st.lists(edit, max_size=2 if n > 1 else 0),
+                                    min_size=1, max_size=4), label="edits")
+    if data.draw(st.booleans(), label="protocol"):
+        make = protocol(k)
+    else:
+        cut = st.tuples(st.integers(1, n), st.integers(0, n))
+        batches = data.draw(st.lists(st.lists(cut, max_size=3 * n), max_size=k),
+                            label="batches")
+        owners = (true_order(perm) if data.draw(st.booleans(), label="true")
+                  else data.draw(st.permutations(range(1, n + 1)), label="owners"))
+        slots = (data.draw(st.lists(st.integers(1, n), min_size=n - 1,
+                                    max_size=n - 1), label="slots")
+                 if data.draw(st.booleans(), label="random slots") else "upper")
+        make = requests_then(batches, owners, slots)
+    for new, ref in verdicts(perm, k, make, edit_lists):
+        assert new == ref
+
+
+def test_protocol_that_shorts_an_agent_is_not_proportional():
+    """Handing the first slice to the rank-2 agent leaves her n/(n(n+1)),
+    under 1/n, however proportional the rest looks."""
+    for n, k in ((3, 1), (8, 2), (20, 3)):
+        perm = random_instance(n, random.Random(n), with_target=False).ranks
+
+        def shorting(session, n):
+            allocation = run_proportional(session, n, k)
+            return swap_owners(1, 2)(allocation, n)
+
+        with pytest.raises(NotProportional, match="agent %d " % true_order(perm)[1]):
+            run_reduction(shorting, n, open_session(HiddenInstance(perm), k))
+
+
+def test_reduction_recovers_a_permutation_at_256_agents():
+    perm = random_instance(256, random.Random(256), with_target=False).ranks
+    run_bridge(perm, 2)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rounds_lab.util import (bernoulli, ceil_div, ceil_kth_root, ceil_log2,
-                             normalized_weights)
+                             normalized_weights, root_multiple_exceeds)
 
 
 @given(st.integers(min_value=0, max_value=10 ** 9),
@@ -60,3 +60,22 @@ def test_normalized_weights_rejects_bad():
         normalized_weights([Fraction(3, 2), Fraction(-1, 2)])
     ws = normalized_weights(["1/2", "1/2"])
     assert ws == (Fraction(1, 2), Fraction(1, 2))
+
+
+@given(st.integers(min_value=0, max_value=100), st.integers(min_value=1, max_value=5000),
+       st.integers(min_value=1, max_value=12), st.integers(min_value=-5, max_value=10 ** 5))
+def test_root_multiple_exceeds_matches_integer_powers(c, n, k, bound):
+    want = n * c ** k > bound ** k if c and bound >= 0 else 0 > bound
+    assert root_multiple_exceeds(c, n, k, bound) == want
+
+
+def test_root_multiple_exceeds_at_exact_roots_and_huge_k():
+    for x in range(1, 20):
+        for k in range(1, 6):
+            for c in (1, 3, 7):
+                assert not root_multiple_exceeds(c, x ** k, k, c * x)
+                assert root_multiple_exceeds(c, x ** k, k, c * x - 1)
+    # no power of the bound is formed: k in the millions answers at once
+    assert not root_multiple_exceeds(10 ** 6, 3, 10 ** 6, 2 * 10 ** 6)
+    assert root_multiple_exceeds(10 ** 6, 3, 10 ** 6, 10 ** 6 + 1)
+    assert root_multiple_exceeds(3, 10 ** 400, 3, 10 ** 7)
