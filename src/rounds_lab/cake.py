@@ -10,13 +10,24 @@ no tolerance.
 Division queries go through the shared round-limited `Session` (exported
 here under its division name `CakeSession`); `DensityBackend` answers them
 from actual densities.
+
+Answers are exact but cost one `Fraction` each. A `PiecewiseDensity` keeps
+integer images of itself next to its public `Fraction` fields: breakpoints
+and prefix masses over common denominators, and two integer constants per
+segment. It validates on those integers, and `cut` and `prefix` are one
+bisect, a few integer products and a single `Fraction(num, den)`.
+`assign_subcakes` orders marks by float first and compares `Fraction`s
+only on float ties.
 """
 
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from itertools import product
 from math import lcm
+from numbers import Rational
 
 from .oracle import MalformedQuery, Session as CakeSession
 from .util import ceil_kth_root
@@ -28,6 +39,10 @@ class MalformedAllocation(Exception):
 
 CutQuery = namedtuple("CutQuery", ["agent", "alpha"])
 EvalQuery = namedtuple("EvalQuery", ["agent", "y"])
+
+_ONE = Fraction(1)
+# CutQuery from an (agent, alpha) pair, built in C
+_cut_query = partial(tuple.__new__, CutQuery)
 
 
 @dataclass(frozen=True)
@@ -52,30 +67,35 @@ class PiecewiseDensity:
             raise ValueError("need exactly one more breakpoint than heights")
         if bps[0] != 0 or bps[-1] != 1:
             raise ValueError("density must span [0, 1]")
-        acc = bps[0]
-        cum = [acc]
-        prev = bps[0]
-        for h, b in zip(hs, bps[1:]):
+        # integer images: breakpoint j is bpn[j]/bden, height j is hn[j]/hden
+        # and the mass left of breakpoint j is cumn[j]/mden, mden = bden*hden
+        bden = lcm(*[b.denominator for b in bps])
+        hden = lcm(*[h.denominator for h in hs])
+        bpn = [b.numerator * (bden // b.denominator) for b in bps]
+        hn = [h.numerator * (hden // h.denominator) for h in hs]
+        acc = 0
+        cumn = [0]
+        prev = 0
+        for h, b in zip(hn, bpn[1:]):
             if prev >= b:
                 raise ValueError("breakpoints must increase strictly")
             if h < 0:
                 raise ValueError("heights must be nonnegative")
-            acc = acc + h * (b - prev)
-            cum.append(acc)
+            acc += h * (b - prev)
+            cumn.append(acc)
             prev = b
-        if acc != 1:
-            raise ValueError("total mass must be exactly 1, got %s" % (acc,))
-        # integer images of cum and breakpoints on common denominators, so the
-        # bisects below compare plain ints instead of Fractions
-        mden = lcm(*(c.denominator for c in cum))
-        bden = lcm(*(b.denominator for b in bps))
-        object.__setattr__(self, "_cum", cum)
-        object.__setattr__(self, "_cumn", [c.numerator * (mden // c.denominator) for c in cum])
-        object.__setattr__(self, "_mden", mden)
-        object.__setattr__(self, "_bpn", [b.numerator * (bden // b.denominator) for b in bps])
+        mden = bden * hden
+        if acc != mden:
+            raise ValueError("total mass must be exactly 1, got %s"
+                             % (Fraction(acc, mden),))
+        # on segment j, cut(p/q) = (q*ks[j] + p*mden) / (q*ls[j]) and
+        # prefix(p/q) = (p*ls[j] - q*ks[j]) / (q*mden)
+        object.__setattr__(self, "_bpn", bpn)
         object.__setattr__(self, "_bden", bden)
-        object.__setattr__(self, "_hn", [h.numerator for h in hs])
-        object.__setattr__(self, "_hd", [h.denominator for h in hs])
+        object.__setattr__(self, "_cumn", cumn)
+        object.__setattr__(self, "_mden", mden)
+        object.__setattr__(self, "_ks", [h * b - c for h, b, c in zip(hn, bpn, cumn)])
+        object.__setattr__(self, "_ls", [bden * h for h in hn])
 
     def prefix(self, y):
         if y.__class__ is not Fraction:
@@ -84,29 +104,24 @@ class PiecewiseDensity:
         if p < 0 or p > q:
             raise ValueError("point outside [0, 1]")
         i = bisect_right(self._bpn, p * self._bden // q) - 1
-        if i >= len(self.heights):
-            return self._cum[-1]
-        return self._cum[i] + self.heights[i] * (y - self.breakpoints[i])
+        if i == len(self._ls):
+            return _ONE
+        return Fraction(p * self._ls[i] - q * self._ks[i], q * self._mden)
 
     def cut(self, alpha):
         """Leftmost y whose prefix value equals alpha."""
         if alpha.__class__ is not Fraction:
             alpha = Fraction(alpha)
         p, q = alpha.numerator, alpha.denominator
-        if p < 0 or p > q:
-            raise ValueError("alpha outside [0, 1]")
-        if not p:
+        if not 0 < p <= q:
+            if p:
+                raise ValueError("alpha outside [0, 1]")
             return self.breakpoints[0]
-        mden = self._mden
-        # zero-height plateaus repeat in _cum, so bisect_left lands on the
+        pm = p * self._mden
+        # zero-height plateaus repeat in _cumn, so bisect_left lands on the
         # first segment that actually gains mass, keeping the cut leftmost
-        i = bisect_left(self._cumn, -(-p * mden // q)) - 1
-        # breakpoints[i] + (alpha - cum[i]) / heights[i], composed over ints
-        # so a single normalization runs instead of three
-        num = (p * mden - self._cumn[i] * q) * self._hd[i]
-        den = q * mden * self._hn[i]
-        bden = self._bden
-        return Fraction(num * bden + self._bpn[i] * den, den * bden)
+        i = bisect_left(self._cumn, -(-pm // q)) - 1
+        return Fraction(q * self._ks[i] + pm, q * self._ls[i])
 
 
 @dataclass(frozen=True)
@@ -163,13 +178,21 @@ class DensityBackend:
         append = out.append
         for q in queries:
             cls = q.__class__
-            if cls is not CutQuery and cls is not EvalQuery:
+            if cls is CutQuery:
+                x = q.alpha
+            elif cls is EvalQuery:
+                x = q.y
+            else:
                 raise MalformedQuery("unknown division query: %r" % (q,))
             agent = q.agent
             if not (agent.__class__ is int and 1 <= agent <= n):
                 raise MalformedQuery("agent out of range: %r" % (agent,))
+            if ((x.__class__ is not Fraction and not isinstance(x, Rational))
+                    or not 0 <= x.numerator <= x.denominator):
+                raise MalformedQuery("%s is not a rational in [0, 1]: %r" % (
+                    "cut argument" if cls is CutQuery else "eval point", x))
             density = agents[agent - 1]
-            append(density.cut(q.alpha) if cls is CutQuery else density.prefix(q.y))
+            append(density.cut(x) if cls is CutQuery else density.prefix(x))
         return out
 
 
@@ -189,18 +212,24 @@ def assign_subcakes(marks, targets):
     """
     assert sum(targets) == len(marks)
     unassigned = sorted(marks)
-    # floats lead the sort key: rounding to nearest is monotone, so the float
-    # can never invert an exact order, only tie -- and ties fall through to
-    # the exact mark
-    approx = {agent: [float(x) for x in ms] for agent, ms in marks.items()}
     cuts = []
     groups = []
     for j, want in enumerate(targets[:-1]):
-        unassigned.sort(
-            key=lambda agent: (approx[agent][j], marks[agent][j], agent))
-        taken, unassigned = unassigned[:want], unassigned[want:]
-        cuts.append(marks[taken[-1]][j])
-        groups.append(sorted(taken))
+        # floats lead each key: rounding to nearest is monotone, so the float
+        # can never invert an exact order, only tie -- and ties fall through
+        # to the exact mark, then to the agent id
+        keyed = [(x.numerator / x.denominator, x, agent)
+                 for agent in unassigned for x in (marks[agent][j],)]
+        if want == 1:
+            _, cut, agent = min(keyed)
+            unassigned.remove(agent)
+            cuts.append(cut)
+            groups.append([agent])
+            continue
+        keyed.sort()
+        cuts.append(keyed[want - 1][1])
+        groups.append(sorted(agent for _, _, agent in keyed[:want]))
+        unassigned = [agent for _, _, agent in keyed[want:]]
     groups.append(sorted(unassigned))
     return cuts, groups
 
@@ -213,36 +242,34 @@ def run_proportional(session, n, k):
     """
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
-    # one tuple per group: (agents, a, b, region_lo, region_hi)
-    groups = [(tuple(range(1, n + 1)), Fraction(0), Fraction(1),
-               Fraction(0), Fraction(1))]
+    # one tuple per group: (agents, lo, region_lo, region_hi); its members
+    # mark values between lo/n and (lo + len(agents))/n
+    groups = [(tuple(range(1, n + 1)), 0, Fraction(0), Fraction(1))]
     for round_no in range(1, k + 1):
         rounds_left = k - round_no + 1
         queries = []
         plans = []
-        for agents, a, b, rlo, rhi in groups:
+        for agents, lo, rlo, rhi in groups:
             m = len(agents)
-            assert b - a == Fraction(m, n)
             if m == 1:
-                plans.append((agents, a, b, rlo, rhi, None, None))
+                plans.append((agents, lo, rlo, rhi, None, None))
                 continue
             sizes = group_sizes(m, ceil_kth_root(m, rounds_left))
-            cum = 0
+            cum = lo
             alphas = []
             for size in sizes[:-1]:
                 cum += size
-                alphas.append(a + Fraction(cum, n))
-            plans.append((agents, a, b, rlo, rhi, sizes, alphas))
-            queries.extend(CutQuery(agent, alpha)
-                           for agent in agents for alpha in alphas)
+                alphas.append(Fraction(cum, n))
+            plans.append((agents, lo, rlo, rhi, sizes, alphas))
+            queries.extend(map(_cut_query, product(agents, alphas)))
         if not queries:
             break  # every group is a singleton already
         answers = session.submit_round(queries)
         pos = 0
         next_groups = []
-        for agents, a, b, rlo, rhi, sizes, alphas in plans:
+        for agents, lo, rlo, rhi, sizes, alphas in plans:
             if sizes is None:
-                next_groups.append((agents, a, b, rlo, rhi))
+                next_groups.append((agents, lo, rlo, rhi))
                 continue
             width = len(alphas)
             marks = {}
@@ -252,13 +279,9 @@ def run_proportional(session, n, k):
             cuts, subgroups = assign_subcakes(marks, sizes)
             assert all(x <= y for x, y in zip(cuts, cuts[1:]))
             edges = [rlo] + cuts + [rhi]
-            cum = 0
             for gi, sub in enumerate(subgroups):
-                new_a = a + Fraction(cum, n)
-                cum += sizes[gi]
-                new_b = a + Fraction(cum, n)
-                next_groups.append((tuple(sub), new_a, new_b,
-                                    edges[gi], edges[gi + 1]))
+                next_groups.append((tuple(sub), lo, edges[gi], edges[gi + 1]))
+                lo += sizes[gi]
         groups = next_groups
         largest = max(len(g[0]) for g in groups)
         # populations shrink on schedule: at most ceil(n**(1 - j/k)) remain
@@ -267,7 +290,7 @@ def run_proportional(session, n, k):
         assert largest <= limit
     pieces = []
     owners = []
-    for agents, a, b, rlo, rhi in groups:
+    for agents, lo, rlo, rhi in groups:
         assert len(agents) == 1
         pieces.append((rlo, rhi))
         owners.append(agents[0])
@@ -316,11 +339,13 @@ def random_density(rng, max_pieces=4, denom=24):
     """Random step density with small exact fractions."""
     m = rng.randint(1, max_pieces)
     cuts = sorted(rng.sample(range(1, denom), m - 1)) if m > 1 else []
-    bps = [Fraction(0)] + [Fraction(c, denom) for c in cuts] + [Fraction(1)]
+    edges = [0] + cuts + [denom]
     weights = [rng.randint(0, 4) for _ in range(m)]
     if sum(weights) == 0:
         weights[rng.randrange(m)] = 1
     total = sum(weights)
-    heights = [Fraction(w, total) / (b - a)
-               for w, a, b in zip(weights, bps, bps[1:])]
-    return PiecewiseDensity(breakpoints=tuple(bps), heights=tuple(heights))
+    # weight w over [a/denom, b/denom] is height (w/total) / ((b - a)/denom)
+    heights = [Fraction(w * denom, total * (b - a))
+               for w, a, b in zip(weights, edges, edges[1:])]
+    return PiecewiseDensity(breakpoints=tuple(Fraction(c, denom) for c in edges),
+                            heights=tuple(heights))

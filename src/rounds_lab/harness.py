@@ -15,7 +15,7 @@ from . import cake as cake_mod
 from . import locate as locate_mod
 from . import reductions
 from . import select as select_mod
-from .oracle import HiddenInstance, open_session, random_instance
+from .oracle import HiddenInstance, Session, open_session, random_instance
 from .rank_sort import forced_query_count, sort_rank, sorting_lower_bound
 from .util import ceil_div, ceil_kth_root, root_multiple_exceeds
 
@@ -172,7 +172,13 @@ def _mean_ci(counts):
     m = sum(counts) / len(counts)
     if len(counts) < 2:
         return m, 0.0
-    var = sum((c - m) ** 2 for c in counts) / (len(counts) - 1)
+    # a plain left-to-right float sum: from Python 3.12 on, sum() rounds
+    # float sums differently, which would move ci95's last digits between
+    # supported versions
+    squares = 0.0
+    for c in counts:
+        squares += (c - m) ** 2
+    var = squares / (len(counts) - 1)
     return m, 1.96 * math.sqrt(var / len(counts))
 
 
@@ -322,8 +328,9 @@ def _run_cake(cfg, fixed_agents=None):
         agents = fixed_agents if fixed_agents is not None else sample_cake_agents(cfg, t)
         if len(agents) != n:
             raise ValueError("instance has %d agents, expected %d" % (len(agents), n))
-        allocation, tr = cake_mod.proportional_protocol(agents, k)
-        counts.append(tr.total_queries)
+        session = Session(cake_mod.DensityBackend(agents), k)
+        allocation = cake_mod.run_proportional(session, n, k)
+        counts.append(session.total_queries)
         fair, _ = cake_mod.verify_proportional(allocation, agents)
         all_fair = all_fair and fair
     ok = all_fair and max(counts) <= cake_query_cap(n, k)

@@ -13,13 +13,18 @@ probe per new mark. Any division protocol that only ever cuts at multiples
 of 1/n and ends proportional is thereby forced to reveal the hidden
 ordering of the agents.
 
+The adversary works on integer images of its grids. Grid point (i, c)
+is one integer over a common denominator (`AdversaryCakeInstance.istep`,
+`cstep` and `den`). A cut argument maps to its grid by a divisibility test,
+`points` is keyed by those integers, and an eval compares them. Each answer
+costs O(1) integer work and at most one `Fraction`.
+
 `run_reduction` checks the final allocation without building any density.
 Each inner slice boundary must be a grid point, and each owner's value of
 her slice has a closed form in integer grid coordinates, the same one the
-eval answers use. The check costs O(n) Fraction steps for the boundaries
-and O(1) integer work per owner, plus O(n) for each boundary grid on which
-an owner's mark was never requested (`run_proportional` requests them
-all).
+eval answers use. The check costs O(1) integer work per boundary and per
+owner, plus O(n) for each boundary grid on which an owner's mark was never
+requested (`run_proportional` requests them all).
 """
 
 from dataclasses import dataclass, field
@@ -28,6 +33,9 @@ from fractions import Fraction
 from .cake import CutQuery, EvalQuery, check_allocation
 from .oracle import (LESS, GREATER, ComparisonQuery, MalformedQuery, RankQuery,
                      Session, TARGET, compare, flip, is_identity)
+
+
+_ZERO = Fraction(0)
 
 
 class ProtocolNotPrimitive(Exception):
@@ -107,6 +115,10 @@ class AdversaryCakeInstance:
     next point down from c = n, and position i itself takes c = i. The
     hidden positions form a permutation, so grid i sees at most i - 1 marks
     below and n - i above, and the three rules never meet.
+
+    Grid point (i, c) is the integer i*istep + c*cstep over the common
+    denominator den (both steps and den are set with epsilon); `points`
+    is keyed by that integer.
     """
 
     n: int
@@ -114,7 +126,7 @@ class AdversaryCakeInstance:
     epsilon: Fraction = None
     slots: dict = field(default_factory=dict)   # (agent, i) -> c
     counts: dict = field(default_factory=dict)  # i -> (marks below, above)
-    points: dict = field(default_factory=dict)  # grid point -> (agent, i)
+    points: dict = field(default_factory=dict)  # grid point over den -> (agent, i)
 
     def __post_init__(self):
         if self.epsilon is None:
@@ -125,28 +137,45 @@ class AdversaryCakeInstance:
             value = tuple(value)
             if sorted(value) != list(range(1, self.n + 1)):
                 raise ValueError("pi must be a permutation of 1..n")
+        elif name == "epsilon" and value is not None:
+            # i/(n+1) + c*e/f = (i*f + c*e*(n+1)) / ((n+1)*f)
+            eps = Fraction(value)
+            f = eps.denominator
+            object.__setattr__(self, "istep", f)
+            object.__setattr__(self, "cstep", eps.numerator * (self.n + 1))
+            object.__setattr__(self, "den", f * (self.n + 1))
         object.__setattr__(self, name, value)
 
     def grid_point(self, i, c):
-        return Fraction(i, self.n + 1) + c * self.epsilon
+        return Fraction(i * self.istep + c * self.cstep, self.den)
+
+    def point_key(self, y):
+        """The integer over den that equals y, or None when there is none."""
+        d = y.denominator
+        return None if self.den % d else y.numerator * (self.den // d)
 
     def take_slot(self, agent, i, relation):
         """Pin agent's i/n mark; relation says how her hidden position
         compares to i. Returns the grid point (idempotent per pair)."""
+        return self.grid_point(i, self.pin(agent, i, relation))
+
+    def pin(self, agent, i, relation):
+        """take_slot's slot c, without building the grid point."""
         key = (agent, i)
-        if key not in self.slots:
+        c = self.slots.get(key)
+        if c is None:
             low, high = self.counts.get(i, (0, 0))
             c = (low + 1 if relation == LESS
                  else self.n - high if relation == GREATER else i)
-            y = self.grid_point(i, c)
-            if compare(c, i) != relation or y in self.points:
+            point = i * self.istep + c * self.cstep
+            if compare(c, i) != relation or point in self.points:
                 raise SlotExhausted(
                     "grid %d has no free point for relation %r" % (i, relation))
             self.counts[i] = (low + (relation == LESS),
                               high + (relation == GREATER))
             self.slots[key] = c
-            self.points[y] = key
-        return self.grid_point(i, self.slots[key])
+            self.points[point] = key
+        return c
 
 
 class AdversaryCakeBackend:
@@ -161,51 +190,69 @@ class AdversaryCakeBackend:
     def answer_batch(self, queries):
         inst = self.inst
         n = inst.n
-        grids = []  # per query: (grid i, eval point or None), or (0, answer)
-        new = {}    # (agent, i) pairs to probe, in order of first appearance
+        slots = inst.slots
+        # per query: (grid i, (agent, i), eval point over den or None), or
+        # (0, None, answer)
+        grids = []
+        new = {}  # (agent, i) pairs to probe, in order of first appearance
         for q in queries:
-            if q.__class__ is CutQuery:
-                i = Fraction(q.alpha) * n
-                if i.denominator != 1:
+            cls = q.__class__
+            if cls is CutQuery:
+                alpha = q.alpha
+                if alpha.__class__ is not Fraction:
+                    alpha = Fraction(alpha)
+                # alpha*n is whole exactly when alpha's denominator divides n
+                d = alpha.denominator
+                if n % d:
                     raise ProtocolNotPrimitive(
                         "cut argument %s is not a multiple of 1/%d" % (q.alpha, n))
-                i = int(i)
+                i = alpha.numerator * (n // d)
                 if not 0 <= i <= n:
                     raise MalformedQuery("cut argument outside [0, 1]")
-                grids.append((i, None if i else Fraction(0)))
-            elif q.__class__ is EvalQuery:
-                y = Fraction(q.y)
+                if not i:
+                    grids.append((0, None, _ZERO))
+                    continue
+                point = None
+            elif cls is EvalQuery:
+                y = q.y
+                if y.__class__ is not Fraction:
+                    y = Fraction(y)
                 if y == 0 or y == 1:
-                    i = 0
-                else:
-                    ref = inst.points.get(y)
-                    if ref is None:
-                        raise MalformedQuery(
-                            "eval at a point that is not a previous cut: %s" % (y,))
-                    i = ref[1]
-                grids.append((i, y))
+                    grids.append((0, None, y))
+                    continue
+                point = inst.point_key(y)
+                ref = inst.points.get(point)
+                if ref is None:
+                    raise MalformedQuery(
+                        "eval at a point that is not a previous cut: %s" % (y,))
+                i = ref[1]
             else:
                 raise MalformedQuery("unknown division query: %r" % (q,))
-            if i and (q.agent, i) not in inst.slots:
-                new.setdefault((q.agent, i))
+            key = (q.agent, i)
+            grids.append((i, key, point))
+            if key not in slots:
+                new[key] = None
         relations = self.rank_session.submit_round(
             [RankQuery(agent, i) for agent, i in new])
+        pin = inst.pin
         for (agent, i), relation in zip(new, relations):
-            inst.take_slot(agent, i, relation)
+            pin(agent, i, relation)
+        istep, cstep, den = inst.istep, inst.cstep, inst.den
         out = []
-        for q, (i, y) in zip(queries, grids):
+        append = out.append
+        for i, key, point in grids:
             if not i:
-                out.append(y)
+                append(point)
                 continue
-            own = inst.grid_point(i, inst.slots[(q.agent, i)])
-            if y is None:
-                out.append(own)
-            elif own == y:
-                out.append(Fraction(i, n))
-            elif own > y:
-                out.append(Fraction(i, n + 1))
+            own = i * istep + slots[key] * cstep
+            if point is None:
+                append(Fraction(own, den))
+            elif own == point:
+                append(Fraction(i, n))
+            elif own > point:
+                append(Fraction(i, n + 1))
             else:
-                out.append(Fraction(i + 1, n + 1))
+                append(Fraction(i + 1, n + 1))
         return out
 
 
@@ -242,13 +289,16 @@ def _grid_ranks(allocation, inst):
     n = inst.n
     pi = inst.pi
     pieces = allocation.pieces
+    istep, cstep = inst.istep, inst.cstep
     grid = [0]  # slot c of each inner boundary, by boundary index
     for i in range(1, n):
         y = pieces[i - 1][1]
-        c = (Fraction(y) - Fraction(i, n + 1)) / inst.epsilon
-        if c.denominator != 1 or not 1 <= c <= n:
+        point = inst.point_key(y if y.__class__ is Fraction else Fraction(y))
+        if point is not None:
+            c, off = divmod(point - i * istep, cstep)
+        if point is None or off or not 1 <= c <= n:
             raise NotProportional("slice boundary %s sits off grid %d" % (y, i))
-        grid.append(int(c))
+        grid.append(c)
 
     def scaled(agent, i):
         if i == 0 or i == n:

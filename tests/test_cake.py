@@ -54,6 +54,25 @@ def test_density_backend_rejects_malformed_queries():
     assert sess.transcript().total_queries == 2
 
 
+def test_density_backend_rejects_values_outside_the_unit_interval():
+    """A cut argument or eval point that is not a rational in [0, 1] is a
+    malformed query: the whole batch is refused and no round is used."""
+    sess = CakeSession(DensityBackend([UNIFORM, UNIFORM]), 2)
+    for bad in (CutQuery(1, F("3/2")), CutQuery(2, F("-1/4")), CutQuery(1, None),
+                CutQuery(1, 0.5), CutQuery(1, "1/2"), EvalQuery(1, 2),
+                EvalQuery(2, F("-1/3")), EvalQuery(1, None), EvalQuery(1, 0.25)):
+        with pytest.raises(MalformedQuery):
+            sess.submit_round([CutQuery(1, F("1/2")), bad])
+        assert sess.rounds_used == 0
+    assert sess.submit_round([CutQuery(1, 1), CutQuery(2, 0), EvalQuery(1, 1),
+                              EvalQuery(2, F("2/3"))]) \
+        == [F(1), F(0), F(1), F("2/3")]
+    # called directly, a density keeps its ValueError
+    for call in (UNIFORM.cut, UNIFORM.prefix):
+        with pytest.raises(ValueError):
+            call(F("3/2"))
+
+
 @given(st.integers(min_value=0, max_value=10 ** 6), st.data())
 def test_cut_inverts_eval(seed, data):
     d = random_density(random.Random(seed))

@@ -1,0 +1,235 @@
+"""Differential checks of the division layer's integer images against the
+plain-Fraction formulas they replaced, which are kept here as references.
+
+Needs neither pytest nor hypothesis, so it also runs as a script:
+
+    PYTHONPATH=src python tests/test_division_images.py
+"""
+
+import random
+from bisect import bisect_left, bisect_right
+from fractions import Fraction
+
+from rounds_lab.cake import (PiecewiseDensity, assign_subcakes,
+                             random_density)
+from rounds_lab.reductions import AdversaryCakeInstance
+
+
+def reference_cum(breakpoints, heights):
+    """The validation and prefix masses of the Fraction-chain density."""
+    bps = tuple(Fraction(t) for t in breakpoints)
+    hs = tuple(Fraction(h) for h in heights)
+    if len(bps) != len(hs) + 1:
+        raise ValueError("need exactly one more breakpoint than heights")
+    if bps[0] != 0 or bps[-1] != 1:
+        raise ValueError("density must span [0, 1]")
+    acc = bps[0]
+    cum = [acc]
+    prev = bps[0]
+    for h, b in zip(hs, bps[1:]):
+        if prev >= b:
+            raise ValueError("breakpoints must increase strictly")
+        if h < 0:
+            raise ValueError("heights must be nonnegative")
+        acc = acc + h * (b - prev)
+        cum.append(acc)
+        prev = b
+    if acc != 1:
+        raise ValueError("total mass must be exactly 1, got %s" % (acc,))
+    return cum
+
+
+def reference_prefix(d, y):
+    y = Fraction(y)
+    cum = reference_cum(d.breakpoints, d.heights)
+    i = bisect_right(d.breakpoints, y) - 1
+    if i >= len(d.heights):
+        return cum[-1]
+    return cum[i] + d.heights[i] * (y - d.breakpoints[i])
+
+
+def reference_cut(d, alpha):
+    alpha = Fraction(alpha)
+    if alpha == 0:
+        return d.breakpoints[0]
+    cum = reference_cum(d.breakpoints, d.heights)
+    i = bisect_left(cum, alpha) - 1
+    return d.breakpoints[i] + (alpha - cum[i]) / d.heights[i]
+
+
+def reference_random_density(rng, max_pieces=4, denom=24):
+    """The sampler that built each height by a chain of divisions."""
+    m = rng.randint(1, max_pieces)
+    cuts = sorted(rng.sample(range(1, denom), m - 1)) if m > 1 else []
+    bps = [Fraction(0)] + [Fraction(c, denom) for c in cuts] + [Fraction(1)]
+    weights = [rng.randint(0, 4) for _ in range(m)]
+    if sum(weights) == 0:
+        weights[rng.randrange(m)] = 1
+    total = sum(weights)
+    heights = [Fraction(w, total) / (b - a)
+               for w, a, b in zip(weights, bps, bps[1:])]
+    return PiecewiseDensity(breakpoints=tuple(bps), heights=tuple(heights))
+
+
+def reference_assign_subcakes(marks, targets):
+    """The one-sort-per-column selection, keyed on floats of every mark."""
+    unassigned = sorted(marks)
+    approx = {agent: [float(x) for x in ms] for agent, ms in marks.items()}
+    cuts = []
+    groups = []
+    for j, want in enumerate(targets[:-1]):
+        unassigned.sort(
+            key=lambda agent: (approx[agent][j], marks[agent][j], agent))
+        taken, unassigned = unassigned[:want], unassigned[want:]
+        cuts.append(marks[taken[-1]][j])
+        groups.append(sorted(taken))
+    groups.append(sorted(unassigned))
+    return cuts, groups
+
+
+def _message(f, *args):
+    try:
+        f(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _densities():
+    """Sampled densities of every shape, plus hand-built ones with zero
+    plateaus first, inside, last and back to back, and large odd
+    denominators."""
+    out = []
+    for seed in range(400):
+        rng = random.Random(seed)
+        out.append(random_density(rng, max_pieces=1 + seed % 8,
+                                  denom=(24, 9, 101, 1000)[seed % 4]))
+    F = Fraction
+    out += [
+        PiecewiseDensity((0, F(1, 3), 1), (0, F(3, 2))),
+        PiecewiseDensity((0, F(2, 3), 1), (F(3, 2), 0)),
+        PiecewiseDensity((0, F(1, 4), F(1, 2), F(3, 4), 1), (2, 0, 0, 2)),
+        PiecewiseDensity((0, F(1, 7), F(5, 11), 1),
+                         (0, F(77, 24), 0)),
+        PiecewiseDensity((0, F(1, 10 ** 9 + 7), 1),
+                         (F(10 ** 9 + 7, 2), F(10 ** 9 + 7, 2 * 10 ** 9 + 12))),
+        PiecewiseDensity((0, 1), (1,)),
+    ]
+    return out
+
+
+def _probes(d, cum):
+    """Points and values 0, 1, every breakpoint and prefix mass, and the
+    midpoints between neighbours, plus a coarse grid."""
+    def with_midpoints(xs):
+        xs = sorted(set(xs))
+        return xs + [(a + b) / 2 for a, b in zip(xs, xs[1:])]
+    grid = [Fraction(j, 29) for j in range(30)]
+    return (with_midpoints(list(d.breakpoints) + grid),
+            with_midpoints(cum + grid))
+
+
+def test_cut_and_prefix_match_fraction_formulas():
+    for d in _densities():
+        cum = reference_cum(d.breakpoints, d.heights)
+        ys, alphas = _probes(d, cum)
+        for y in ys:
+            got = d.prefix(y)
+            assert got.__class__ is Fraction and got == reference_prefix(d, y), (d, y)
+        for alpha in alphas:
+            got = d.cut(alpha)
+            assert got.__class__ is Fraction and got == reference_cut(d, alpha), (d, alpha)
+        # plain ints take the same path as the Fractions they equal
+        assert (d.prefix(0), d.prefix(1), d.cut(0), d.cut(1)) == (
+            reference_prefix(d, 0), reference_prefix(d, 1),
+            reference_cut(d, 0), reference_cut(d, 1))
+
+
+def test_out_of_range_calls_keep_their_value_errors():
+    d = PiecewiseDensity((0, Fraction(1, 2), 1), (2, 0))
+    for bad in (Fraction(-1, 3), Fraction(4, 3), -1, 2):
+        assert _message(d.cut, bad) == "alpha outside [0, 1]"
+        assert _message(d.prefix, bad) == "point outside [0, 1]"
+
+
+def test_malformed_densities_raise_the_reference_messages():
+    F = Fraction
+    cases = [
+        ((0, F(1, 2)), (2,)),                       # short of 1
+        ((F(1, 4), 1), (F(4, 3),)),                 # starts late
+        ((0, 1, 2), (1, 1)),                        # runs past 1
+        ((0, 1), ()),                               # one breakpoint short
+        ((0, F(1, 2), 1), (1,)),                    # one height short
+        ((0,), ()),
+        ((0, F(1, 2), 1), (3, -1)),                 # negative height
+        ((0, F(1, 2), 1), (-1, 3)),
+        ((0, 1), (2,)),                             # mass 2
+        ((0, F(1, 3), 1), (F(1, 7), F(5, 11))),     # mass under 1
+        ((0, F(1, 2), F(1, 2), 1), (1, 0, 1)),      # repeated breakpoint
+        ((0, F(1, 2), F(1, 3), 1), (1, 1, 1)),      # decreasing breakpoint
+        ((0, F(1, 2), F(1, 2), 1), (1, -1, 1)),     # both faults at once
+        ((0, F(1, 2), F(1, 3), 1), (-1, 1, 1)),     # negative before decrease
+        ((0, F(1, 3), F(2, 3), 1), (1, 1, 2)),
+        ((0, F(1, 10 ** 12), 1), (0, F(10 ** 12, 10 ** 12 - 2))),
+    ]
+    for bps, hs in cases:
+        want = _message(reference_cum, bps, hs)
+        assert want is not None, (bps, hs)
+        assert _message(PiecewiseDensity, bps, hs) == want, (bps, hs)
+
+
+def test_random_density_matches_reference_sampler():
+    for seed in range(2000):
+        shape = dict(max_pieces=1 + seed % 7, denom=(24, 8, 97, 7)[seed % 4])
+        ours, ref = random.Random(seed), random.Random(seed)
+        assert random_density(ours, **shape) == reference_random_density(ref, **shape)
+        assert ours.getstate() == ref.getstate()  # the same rng calls
+
+
+def test_assign_subcakes_matches_reference_sort():
+    third = Fraction(1, 3)
+    tiny = Fraction(1, 10 ** 30)
+    # 1/3 and 1/3 +- 1e-30 round to the same float, so only the exact mark
+    # or the agent id can separate them
+    pool = [third, third + tiny, third - tiny, third + 2 * tiny,
+            Fraction(1, 2), Fraction(0), Fraction(1), 0, 1]
+    rng = random.Random(7)
+    for trial in range(600):
+        m = rng.randint(1, 12)
+        width = rng.randint(1, 4)
+        if trial % 3:
+            marks = {a: [rng.choice(pool) for _ in range(width)]
+                     for a in rng.sample(range(1, 40), m)}
+        else:
+            marks = {a: [Fraction(rng.randint(0, 6), rng.randint(1, 6)) % 1
+                         for _ in range(width)]
+                     for a in rng.sample(range(1, 40), m)}
+        parts = width + 1
+        cuts = sorted(rng.sample(range(1, m + parts), parts - 1))
+        targets = [b - a - 1 for a, b in zip([0] + cuts, cuts + [m + parts])]
+        if any(t < 1 for t in targets[:-1]):
+            continue
+        assert assign_subcakes(marks, targets) == \
+            reference_assign_subcakes(marks, targets), (marks, targets)
+
+
+def test_grid_points_are_integer_images():
+    for n, eps in ((1, None), (2, None), (7, None), (30, None),
+                   (5, Fraction(2, 7 ** 5)), (4, Fraction(1, 1000))):
+        inst = AdversaryCakeInstance(n=n, epsilon=eps)
+        for i in range(n + 1):
+            for c in range(1, n + 1):
+                y = inst.grid_point(i, c)
+                assert y == Fraction(i, n + 1) + c * inst.epsilon
+                assert Fraction(inst.point_key(y), inst.den) == y
+        assert inst.point_key(Fraction(1, inst.den + 1)) is None
+
+
+if __name__ == "__main__":
+    import sys
+    tests = sorted(name for name in globals() if name.startswith("test_"))
+    for name in tests:
+        globals()[name]()
+        print("passed", name)
+    print("%d differential checks passed on Python %s"
+          % (len(tests), sys.version.split()[0]))
