@@ -336,7 +336,12 @@ def format_cake_file(agents):
 
 
 def random_density(rng, max_pieces=4, denom=24):
-    """Random step density with small exact fractions."""
+    """Random step density with small exact fractions: at most max_pieces
+    steps on a grid of 1/denom. Raises ValueError, before drawing from rng,
+    unless 1 <= max_pieces <= denom."""
+    if not 1 <= max_pieces <= denom:
+        raise ValueError("need 1 <= max_pieces <= denom, got max_pieces=%r, "
+                         "denom=%r" % (max_pieces, denom))
     m = rng.randint(1, max_pieces)
     cuts = sorted(rng.sample(range(1, denom), m - 1)) if m > 1 else []
     edges = [0] + cuts + [denom]

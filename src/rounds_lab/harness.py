@@ -364,10 +364,9 @@ def _run_reduce(cfg):
         counts.append(rank_tr.total_queries)
         ok = ok and got == perm
         ok = ok and rank_tr.total_queries <= rw_tr.total_queries
-        rw_sizes = tuple(len(batch) for batch in rw_tr.rounds)
-        ok = ok and len(rank_tr.round_sizes) == len(rw_sizes)
-        ok = ok and all(a <= b for a, b in
-                        zip(rank_tr.round_sizes, rw_sizes))
+        rank_sizes, rw_sizes = rank_tr.round_sizes, rw_tr.round_sizes
+        ok = ok and len(rank_sizes) == len(rw_sizes)
+        ok = ok and all(a <= b for a, b in zip(rank_sizes, rw_sizes))
     m, ci = _mean_ci(counts)
     return [_row(cfg, b, m, ci, 1.0 if ok else 0.0, ok, trials=len(perms))]
 

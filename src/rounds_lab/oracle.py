@@ -16,6 +16,7 @@ division backends `cake.DensityBackend` and
 
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import cached_property
 from operator import eq
 
 LESS = "<"
@@ -149,13 +150,30 @@ class HiddenInstance:
 
 @dataclass(frozen=True)
 class RoundTranscript:
-    rounds: tuple  # one entry per batch: tuple of (query, answer) pairs
+    """A session's record up to the moment `Session.transcript()` ran.
+
+    It keeps the session's own (queries, answers) tuples, one pair per
+    batch, so taking it costs O(k) and it does not grow with later rounds.
+    The per-query (query, answer) pairs are zipped on the first read of
+    `rounds`; `round_sizes` and `total_queries` never build them. Equality
+    and hash go by the batches, which is the same as going by `rounds`.
+    """
+
+    batches: tuple  # one (queries tuple, answers tuple) pair per round
     k_limit: int
-    total_queries: int
+
+    @cached_property
+    def rounds(self):
+        """One tuple of (query, answer) pairs per batch."""
+        return tuple(tuple(zip(qs, ans)) for qs, ans in self.batches)
 
     @property
     def round_sizes(self):
-        return tuple(len(batch) for batch in self.rounds)
+        return tuple(len(qs) for qs, _ in self.batches)
+
+    @property
+    def total_queries(self):
+        return sum(len(qs) for qs, _ in self.batches)
 
 
 class Session:
@@ -192,14 +210,16 @@ class Session:
                 "already used %d of %d rounds" % (len(self._batches), self.k_limit))
         queries = tuple(queries)
         answers = tuple(self.backend.answer_batch(queries))
+        if len(answers) != len(queries):
+            raise ValueError("the backend gave %d answers to %d queries"
+                             % (len(answers), len(queries)))
         self._batches.append((queries, answers))
         self._total += len(queries)
         return list(answers)
 
     def transcript(self):
-        rounds = tuple(tuple(zip(qs, ans)) for qs, ans in self._batches)
-        return RoundTranscript(rounds=rounds, k_limit=self.k_limit,
-                               total_queries=self._total)
+        return RoundTranscript(batches=tuple(self._batches),
+                               k_limit=self.k_limit)
 
 
 def open_session(instance, k_limit):
@@ -209,8 +229,8 @@ def open_session(instance, k_limit):
 
 def answers_consistent(transcript, instance):
     """Replay a transcript against an instance, checking every answer."""
-    for batch in transcript.rounds:
-        for q, a in batch:
+    for qs, ans in transcript.batches:
+        for q, a in zip(qs, ans):
             if q.__class__ is RankQuery:
                 idx = instance.target_index if q.item == TARGET else q.item
                 want = compare(instance.rank_of(idx), q.threshold)

@@ -24,6 +24,8 @@ step and its m steps cost O(m*P).
 """
 
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import product
 from math import e
 
 from .oracle import (EQUAL, GREATER, LESS, MalformedQuery, RankQuery,
@@ -46,8 +48,18 @@ def block_thresholds(lo, hi, rounds_left):
     return [lo - 1 + ceil_div(m * j, z) for j in range(1, z)]
 
 
+_rank_query = partial(tuple.__new__, RankQuery)
+
+
 def sort_rank(session, n, k):
-    """Rank of every item, as a tuple indexed by item - 1."""
+    """Rank of every item, as a tuple indexed by item - 1.
+
+    Each block's probes are built in one C-level pass over
+    product(items, thresholds), and each item's answers are read off three
+    string searches (`_read_round`), so a round costs Python steps per
+    item and per block, not per query. The session's transcript zips the
+    (query, answer) pairs only when its `rounds` is read.
+    """
     if k < 1:
         raise ValueError("k must be at least 1")
     resolved = {}
@@ -59,39 +71,54 @@ def sort_rank(session, n, k):
     rounds_left = k
     while blocks and rounds_left >= 1:
         queries = []
-        spans = []  # (item, lo, hi, probe count) in submission order
+        plan = []  # (lo, hi, thresholds, items) per block, in submission order
         for (lo, hi), items in sorted(blocks.items()):
             assert len(items) == hi - lo + 1, "block size must match its span"
             ts = block_thresholds(lo, hi, rounds_left)
-            for item in items:
-                spans.append((item, lo, hi, len(ts)))
-                queries.extend(RankQuery(item, t) for t in ts)
+            queries.extend(map(_rank_query, product(items, ts)))
+            plan.append((lo, hi, ts, items))
         answers = session.submit_round(queries)
         rounds_left -= 1
-        pending = {}
-        pos = 0
-        for item, lo, hi, width in spans:
-            hit = None
-            for off in range(width):
-                a = answers[pos + off]
-                t = queries[pos + off].threshold
-                if a == EQUAL:
-                    hit = t
-                    break
-                if a == LESS:
-                    hi = min(hi, t - 1)
-                else:
-                    lo = max(lo, t + 1)
-            pos += width
-            if hit is not None:
-                resolved[item] = hit
-            elif lo == hi:
-                resolved[item] = lo
-            else:
-                pending.setdefault((lo, hi), []).append(item)
-        blocks = pending
+        blocks = _read_round(plan, answers, resolved)
     assert not blocks, "the round budget always suffices"
     return tuple(resolved[i] for i in range(1, n + 1))
+
+
+def _read_round(plan, answers, resolved):
+    """Fold one round's answers into `resolved`; returns the blocks still
+    open, keyed by span.
+
+    Every item of a block was probed at the block's thresholds, which
+    ascend, so its answers (each one of the symbols `<`, `=`, `>`) are one
+    slice of the joined answer string. An
+    `=` pins the item at its threshold. Otherwise the first `<` caps the
+    item's span and the last `>` raises its floor; that is what a
+    threshold-by-threshold scan finds too, even for inconsistent answers.
+    """
+    s = "".join(answers)
+    pending = {}
+    pos = 0
+    for lo, hi, ts, items in plan:
+        width = len(ts)
+        for item in items:
+            end = pos + width
+            hit = s.find(EQUAL, pos, end)
+            if hit >= 0:
+                resolved[item] = ts[hit - pos]
+            else:
+                top, bottom = hi, lo
+                first_less = s.find(LESS, pos, end)
+                if first_less >= 0:
+                    top = min(hi, ts[first_less - pos] - 1)
+                last_greater = s.rfind(GREATER, pos, end)
+                if last_greater >= 0:
+                    bottom = max(lo, ts[last_greater - pos] + 1)
+                if bottom == top:
+                    resolved[item] = bottom
+                else:
+                    pending.setdefault((bottom, top), []).append(item)
+            pos = end
+    return pending
 
 
 @dataclass

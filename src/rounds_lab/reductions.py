@@ -197,6 +197,11 @@ class AdversaryCakeBackend:
         new = {}  # (agent, i) pairs to probe, in order of first appearance
         for q in queries:
             cls = q.__class__
+            if cls is not CutQuery and cls is not EvalQuery:
+                raise MalformedQuery("unknown division query: %r" % (q,))
+            agent = q.agent
+            if not (agent.__class__ is int and 1 <= agent <= n):
+                raise MalformedQuery("agent out of range: %r" % (agent,))
             if cls is CutQuery:
                 alpha = q.alpha
                 if alpha.__class__ is not Fraction:
@@ -213,7 +218,7 @@ class AdversaryCakeBackend:
                     grids.append((0, None, _ZERO))
                     continue
                 point = None
-            elif cls is EvalQuery:
+            else:
                 y = q.y
                 if y.__class__ is not Fraction:
                     y = Fraction(y)
@@ -226,9 +231,7 @@ class AdversaryCakeBackend:
                     raise MalformedQuery(
                         "eval at a point that is not a previous cut: %s" % (y,))
                 i = ref[1]
-            else:
-                raise MalformedQuery("unknown division query: %r" % (q,))
-            key = (q.agent, i)
+            key = (agent, i)
             grids.append((i, key, point))
             if key not in slots:
                 new[key] = None

@@ -82,6 +82,20 @@ def test_cut_inverts_eval(seed, data):
     assert d.prefix(y) == alpha
 
 
+def test_random_density_checks_its_shape_before_drawing():
+    """max_pieces outside 1..denom is refused before any rng call, so the
+    caller's stream is left as it was; max_pieces == denom still draws."""
+    for seed in range(40):
+        for max_pieces, denom in ((6, 5), (0, 24), (-1, 24), (25, 24), (1, 0)):
+            rng = random.Random(seed)
+            before = rng.getstate()
+            with pytest.raises(ValueError):
+                random_density(rng, max_pieces=max_pieces, denom=denom)
+            assert rng.getstate() == before
+        d = random_density(random.Random(seed), max_pieces=5, denom=5)
+        assert len(d.heights) <= 5 and d.prefix(1) == 1
+
+
 def test_group_sizes():
     assert group_sizes(10, 3) == [4, 3, 3]
     assert group_sizes(9, 3) == [3, 3, 3]

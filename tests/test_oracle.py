@@ -154,3 +154,60 @@ def test_random_instance_is_permutation():
     assert sorted(inst.ranks) == list(range(1, 13))
     assert 1 <= inst.target_index <= 12
     assert shuffled_ranks(12, 0) != tuple(range(1, 13))
+
+
+def eager_rounds(transcript):
+    return tuple(tuple(zip(qs, ans)) for qs, ans in transcript.batches)
+
+
+def test_transcript_is_a_snapshot_that_zips_on_first_read():
+    sess = session_for(6, 3)
+    sess.submit_round([RankQuery(2, 3), RankQuery(5, 1)])
+    early = sess.transcript()
+    sess.submit_round([RankQuery(1, 6)])
+    late = sess.transcript()
+    assert early.round_sizes == (2,) and early.total_queries == 2
+    assert late.round_sizes == (2, 1) and late.total_queries == 3
+    assert "rounds" not in early.__dict__ and "rounds" not in late.__dict__
+    assert early.rounds == (((RankQuery(2, 3), LESS), (RankQuery(5, 1), GREATER)),)
+    assert late.rounds == eager_rounds(late)
+    assert late.rounds[1] == ((RankQuery(1, 6), LESS),)
+    assert late.rounds is late.rounds  # zipped once
+    sess.submit_round([])
+    assert early.round_sizes == (2,) and late.round_sizes == (2, 1)
+    assert sess.transcript().round_sizes == (2, 1, 0)
+
+
+@given(st.lists(st.lists(st.tuples(st.integers(min_value=1, max_value=3),
+                                   st.integers(min_value=1, max_value=3)),
+                         max_size=3), max_size=3),
+       st.lists(st.lists(st.tuples(st.integers(min_value=1, max_value=3),
+                                   st.integers(min_value=1, max_value=3)),
+                         max_size=3), max_size=3),
+       st.integers(min_value=3, max_value=4), st.integers(min_value=3, max_value=4))
+def test_transcript_equality_and_hash_follow_the_pairs(left, right, k1, k2):
+    """== and hash on the batches agree with == on (rounds, k_limit, total)."""
+    trs = []
+    for batches, k in ((left, k1), (right, k2), (left, k1)):
+        sess = Session(HiddenInstance((3, 1, 2)), k)
+        for batch in batches:
+            sess.submit_round([RankQuery(i, t) for i, t in batch])
+        trs.append(sess.transcript())
+    a, b, twin = trs
+    eager = [(tr.rounds, tr.k_limit, tr.total_queries) for tr in (a, b)]
+    assert (a == b) == (eager[0] == eager[1])
+    if a == b:
+        assert hash(a) == hash(b)
+    assert "rounds" not in twin.__dict__
+    assert a == twin and hash(a) == hash(twin)  # equal before twin is zipped
+
+
+def test_session_refuses_a_backend_that_miscounts_its_answers():
+    class Short:
+        def answer_batch(self, queries):
+            return [LESS] * (len(queries) - 1)
+
+    sess = Session(Short(), 2)
+    with pytest.raises(ValueError):
+        sess.submit_round([RankQuery(1, 1), RankQuery(2, 1)])
+    assert sess.rounds_used == 0 and sess.total_queries == 0

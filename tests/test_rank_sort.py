@@ -9,7 +9,8 @@ from rounds_lab.oracle import (EQUAL, GREATER, LESS, HiddenInstance,
                                MalformedQuery, RankQuery, RoundLimitExceeded,
                                Session, compare, open_session, random_instance)
 from rounds_lab.rank_sort import (AlgorithmIncorrect, InconsistentQuery,
-                                  _commit, block_thresholds, consistent_witness,
+                                  _commit, _read_round, block_thresholds,
+                                  consistent_witness,
                                   forced_query_count, new_adversary,
                                   adversary_round, sort_rank,
                                   sorting_lower_bound)
@@ -301,3 +302,163 @@ def test_forced_counts_match_recursive_reference():
     for n in range(1, 65):
         for k in range(1, 5):
             assert forced_query_count(sort_rank, n, k) == reference_forced_count(n, k)
+
+
+# The per-query planner that the bulk one replaced: it builds every probe
+# with its own RankQuery call and reads the answers one threshold at a time.
+# Kept as the reference for the differential tests.
+
+def reference_read(spans, queries, answers, resolved):
+    """Fold one round's answers in, answer by answer; returns the blocks
+    still open."""
+    pending = {}
+    pos = 0
+    for item, lo, hi, width in spans:
+        hit = None
+        for off in range(width):
+            a = answers[pos + off]
+            t = queries[pos + off].threshold
+            if a == EQUAL:
+                hit = t
+                break
+            if a == LESS:
+                hi = min(hi, t - 1)
+            else:
+                lo = max(lo, t + 1)
+        pos += width
+        if hit is not None:
+            resolved[item] = hit
+        elif lo == hi:
+            resolved[item] = lo
+        else:
+            pending.setdefault((lo, hi), []).append(item)
+    return pending
+
+
+def reference_sort_rank(session, n, k):
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    resolved = {}
+    blocks = {}
+    if n == 1:
+        resolved[1] = 1
+    elif n > 1:
+        blocks[(1, n)] = list(range(1, n + 1))
+    rounds_left = k
+    while blocks and rounds_left >= 1:
+        queries = []
+        spans = []  # (item, lo, hi, probe count) in submission order
+        for (lo, hi), items in sorted(blocks.items()):
+            assert len(items) == hi - lo + 1, "block size must match its span"
+            ts = block_thresholds(lo, hi, rounds_left)
+            for item in items:
+                spans.append((item, lo, hi, len(ts)))
+                queries.extend(RankQuery(item, t) for t in ts)
+        answers = session.submit_round(queries)
+        rounds_left -= 1
+        blocks = reference_read(spans, queries, answers, resolved)
+    assert not blocks, "the round budget always suffices"
+    return tuple(resolved[i] for i in range(1, n + 1))
+
+
+def run_sorter(sorter, backend, n, k):
+    """The sorter's result (or the exception it raised) and its transcript."""
+    session = Session(backend, k)
+    try:
+        outcome = sorter(session, n, k)
+    except Exception as exc:  # an inconsistent script may break the sorter
+        # first line only: pytest appends its own detail to the assertions
+        # of this module, not to those of the library
+        outcome = (type(exc), str(exc).split("\n")[0])
+    return outcome, session.transcript()
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(min_value=1, max_value=64).flatmap(
+           lambda n: st.permutations(list(range(1, n + 1)))),
+       st.integers(min_value=1, max_value=4))
+def test_bulk_sort_matches_per_query_reference(perm, k):
+    """Same ranks and the same transcript, round for round."""
+    inst = HiddenInstance(tuple(perm))
+    got, tr = run_sorter(sort_rank, inst, inst.n, k)
+    want, ref_tr = run_sorter(reference_sort_rank, inst, inst.n, k)
+    assert got == want == inst.ranks
+    assert tr == ref_tr
+    assert tr.rounds == ref_tr.rounds
+
+
+def test_bulk_sort_matches_reference_against_the_opponent():
+    """On the benchmark's forced grid, and at k = 1 for n <= 64, the forced
+    count and every answer the opponent gives are the reference's."""
+    grid = [(32, 2), (64, 2), (64, 3), (128, 2), (128, 3), (256, 2), (256, 3)]
+    grid += [(n, 1) for n in range(1, 65)]
+    for n, k in grid:
+        got, tr = run_sorter(sort_rank, new_adversary(n), n, k)
+        want, ref_tr = run_sorter(reference_sort_rank, new_adversary(n), n, k)
+        assert got == want, (n, k)
+        assert tr == ref_tr, (n, k)
+        assert (forced_query_count(sort_rank, n, k)
+                == forced_query_count(reference_sort_rank, n, k)
+                == tr.total_queries), (n, k)
+
+
+class ScriptedBackend:
+    """Answers every rank probe with a random symbol from a seeded stream,
+    with no regard for consistency."""
+
+    def __init__(self, seed, symbols=LESS + EQUAL + GREATER):
+        self.rng = random.Random(seed)
+        self.symbols = symbols
+
+    def answer_batch(self, queries):
+        return [self.rng.choice(self.symbols) for _ in queries]
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(min_value=1, max_value=40), st.integers(min_value=1, max_value=4),
+       st.integers(min_value=0, max_value=10 ** 6),
+       st.sampled_from(["<=>", "<>", "<<<=>>>", "<>>>>", "<<<<>", "<====>"]))
+def test_bulk_reading_matches_reference_on_scripted_answers(n, k, seed, symbols):
+    """Arbitrary, often inconsistent, answer strings: the sorter ends the
+    same way (ranks or the same error) with the same transcript."""
+    got, tr = run_sorter(sort_rank, ScriptedBackend(seed, symbols), n, k)
+    want, ref_tr = run_sorter(reference_sort_rank, ScriptedBackend(seed, symbols), n, k)
+    assert got == want
+    assert tr == ref_tr
+
+
+@st.composite
+def open_blocks(draw):
+    """Open blocks as a round would hold them: disjoint spans of ranks over
+    disjoint items, each block as many items as its span is wide."""
+    n = draw(st.integers(min_value=2, max_value=48))
+    items = draw(st.permutations(list(range(1, n + 1))))
+    blocks = {}
+    lo = 1
+    while lo < n:
+        hi = draw(st.integers(min_value=lo + 1, max_value=n))
+        if draw(st.booleans()):
+            blocks[(lo, hi)] = items[lo - 1:hi]
+        lo = hi + 1
+    return blocks
+
+
+@settings(deadline=None, max_examples=400)
+@given(open_blocks(), st.integers(min_value=1, max_value=4), st.data())
+def test_read_round_matches_reference_reading(blocks, rounds_left, data):
+    """Round by round the slice reading resolves the same items at the same
+    ranks and leaves the same blocks open as the answer-by-answer scan."""
+    plan, spans, queries = [], [], []
+    for (lo, hi), items in sorted(blocks.items()):
+        ts = block_thresholds(lo, hi, rounds_left)
+        plan.append((lo, hi, ts, items))
+        for item in items:
+            spans.append((item, lo, hi, len(ts)))
+            queries.extend(RankQuery(item, t) for t in ts)
+    answers = data.draw(st.lists(st.sampled_from([LESS, EQUAL, GREATER]),
+                                 min_size=len(queries), max_size=len(queries)),
+                        label="answers")
+    resolved, ref_resolved = {}, {}
+    assert _read_round(plan, answers, resolved) == reference_read(
+        spans, queries, answers, ref_resolved)
+    assert resolved == ref_resolved

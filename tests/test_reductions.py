@@ -213,6 +213,29 @@ def test_bridge_rejects_off_grid_cuts():
         run_reduction(sloppy, 2, rank_sess)
 
 
+def test_adversary_backend_rejects_bad_agents():
+    """An agent that is not an int in 1..n is a malformed query, pinned or
+    not, on a grid or at 0: the batch is refused, no round is used and the
+    rank session is not touched."""
+    rank_sess = open_session(HiddenInstance((2, 3, 1)), 3)
+    backend = AdversaryCakeBackend(3, rank_sess)
+    sess = Session(backend, 3)
+    third = Fraction(1, 3)
+    mark = sess.submit_round([CutQuery(1, third)])
+    assert rank_sess.transcript().round_sizes == (1,)
+    for bad in (CutQuery(True, third), CutQuery(1.0, third),
+                CutQuery(0, third), CutQuery(4, third), CutQuery("1", third),
+                CutQuery(True, Fraction(0)), EvalQuery(True, mark[0]),
+                EvalQuery(1.0, mark[0]), EvalQuery(0, Fraction(1))):
+        with pytest.raises(MalformedQuery):
+            sess.submit_round([CutQuery(2, third), bad])
+        assert sess.rounds_used == 1
+        assert rank_sess.transcript().round_sizes == (1,)
+        assert set(backend.inst.slots) == {(1, 1)}
+    assert sess.submit_round([CutQuery(1, third), EvalQuery(1, mark[0])]) \
+        == [mark[0], Fraction(1, 3)]
+
+
 def test_reduction_needs_n_items_in_the_rank_session():
     for ranks in ((1, 2, 3, 4), (2, 5, 1, 4, 3)):
         rank_sess = open_session(HiddenInstance(ranks), 2)
@@ -268,7 +291,8 @@ class ReferenceCakeInstance(AdversaryCakeInstance):
 
 
 class ReferenceCakeBackend:
-    """The tagged-tuple backend that the two-pass answer_batch replaced."""
+    """The tagged-tuple backend that the two-pass answer_batch replaced,
+    with the agent check that both now make first."""
 
     def __init__(self, n, rank_session):
         self.inst = ReferenceCakeInstance(n=n)
@@ -291,6 +315,9 @@ class ReferenceCakeBackend:
         seen = set()
         infos = []
         for q in queries:
+            if (q.__class__ in (CutQuery, EvalQuery)
+                    and not (type(q.agent) is int and 1 <= q.agent <= inst.n)):
+                raise MalformedQuery("agent out of range: %r" % (q.agent,))
             if q.__class__ is CutQuery:
                 i = self._grid_index(q.alpha)
                 infos.append(("cut", q.agent, i, None))
