@@ -24,12 +24,10 @@ from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from itertools import product
 from math import lcm
 from numbers import Rational
 
-from .oracle import MalformedQuery, Session as CakeSession
+from .oracle import MalformedQuery, ProductBatch, Session as CakeSession
 from .util import ceil_kth_root
 
 
@@ -41,8 +39,6 @@ CutQuery = namedtuple("CutQuery", ["agent", "alpha"])
 EvalQuery = namedtuple("EvalQuery", ["agent", "y"])
 
 _ONE = Fraction(1)
-# CutQuery from an (agent, alpha) pair, built in C
-_cut_query = partial(tuple.__new__, CutQuery)
 
 
 @dataclass(frozen=True)
@@ -172,6 +168,14 @@ class DensityBackend:
         self.agents = tuple(agents)
 
     def answer_batch(self, queries):
+        """Answer one batch. A `ProductBatch` of cut queries is answered
+        block by block; one holding anything that fast path does not accept
+        goes through the per-query loop, which raises what it raises on a
+        flat batch."""
+        if queries.__class__ is ProductBatch and queries.kind is CutQuery:
+            answers = self._answer_cut_blocks(queries.blocks)
+            if answers is not None:
+                return answers
         agents = self.agents
         n = len(agents)
         out = []
@@ -193,6 +197,27 @@ class DensityBackend:
                     "cut argument" if cls is CutQuery else "eval point", x))
             density = agents[agent - 1]
             append(density.cut(x) if cls is CutQuery else density.prefix(x))
+        return out
+
+    def _answer_cut_blocks(self, blocks):
+        """Cuts for (agents, alphas) blocks, or None when some block holds
+        an agent or a cut argument the per-query loop must judge. Every
+        block's agents and arguments are checked once, before any agent is
+        asked for a cut; the agents are only asked for `cut`."""
+        agents = self.agents
+        n = len(agents)
+        for ids, alphas in blocks:
+            for x in alphas:
+                if not ((x.__class__ is Fraction or x.__class__ is int)
+                        and 0 <= x.numerator <= x.denominator):
+                    return None
+            for agent in ids:
+                if not (agent.__class__ is int and 1 <= agent <= n):
+                    return None
+        out = []
+        for ids, alphas in blocks:
+            for agent in ids:
+                out.extend(map(agents[agent - 1].cut, alphas))
         return out
 
 
@@ -247,7 +272,7 @@ def run_proportional(session, n, k):
     groups = [(tuple(range(1, n + 1)), 0, Fraction(0), Fraction(1))]
     for round_no in range(1, k + 1):
         rounds_left = k - round_no + 1
-        queries = []
+        blocks = []  # (agents, alphas) per group that still splits
         plans = []
         for agents, lo, rlo, rhi in groups:
             m = len(agents)
@@ -261,10 +286,10 @@ def run_proportional(session, n, k):
                 cum += size
                 alphas.append(Fraction(cum, n))
             plans.append((agents, lo, rlo, rhi, sizes, alphas))
-            queries.extend(map(_cut_query, product(agents, alphas)))
-        if not queries:
+            blocks.append((agents, alphas))
+        if not blocks:
             break  # every group is a singleton already
-        answers = session.submit_round(queries)
+        answers = session.submit_round(ProductBatch(CutQuery, blocks))
         pos = 0
         next_groups = []
         for agents, lo, rlo, rhi, sizes, alphas in plans:

@@ -198,6 +198,10 @@ def _run_locate(cfg):
         if p == 1:
             def run(sess):
                 return locate_mod.locate_det(sess, n, k)
+        elif p == 0:
+            def run(sess):
+                # the ceil(0 * n) = 0 most probable ranks: nothing to ask
+                return None
         else:
             dist = locate_mod.RankDistribution((Fraction(1, n),) * n)
 

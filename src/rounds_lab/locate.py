@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import ceil
 
-from .oracle import EQUAL, LESS, TARGET, RankQuery
+from .oracle import EQUAL, LESS, TARGET, ProductBatch, RankQuery
 from .util import bernoulli, ceil_kth_root, ceil_log2, normalized_weights
 
 
@@ -107,7 +107,10 @@ def _locate_sorted(session, n, k, cands):
             return t if answer == EQUAL else None
         assert rounds_left > 0, "plan must resolve within the round budget"
         probes = [cands[i] for i in probe_positions(len(cands), rounds_left)]
-        answers = session.submit_round([RankQuery(TARGET, t) for t in probes])
+        # one probe is cheaper to send as it is than as a block
+        answers = session.submit_round(
+            [RankQuery(TARGET, probes[0])] if len(probes) == 1
+            else ProductBatch(RankQuery, (((TARGET,), probes),)))
         rounds_left -= 1
         for t, a in zip(probes, answers):
             if a == EQUAL:

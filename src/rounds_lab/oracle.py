@@ -12,11 +12,20 @@ division backends `cake.DensityBackend` and
 `reductions.AdversaryCakeBackend`, and the comparison backends
 `reductions.LocateComparisonBackend` and
 `reductions.SelectComparisonBackend`.
+
+A batch is any iterable of queries, or a `ProductBatch`: the same queries
+given as item × level blocks, which is how every round the algorithms here
+ask is shaped. The session keeps a `ProductBatch` as it is, so a round
+costs no object per query until its transcript's `rounds` is read.
+`HiddenInstance` and `cake.DensityBackend` answer one block by block; every
+other backend iterates it and sees the same queries a flat batch holds.
 """
 
+from bisect import bisect_left
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
+from itertools import chain, product
 from operator import eq
 
 LESS = "<"
@@ -38,6 +47,57 @@ class MalformedQuery(Exception):
 
 RankQuery = namedtuple("RankQuery", ["item", "threshold"])
 ComparisonQuery = namedtuple("ComparisonQuery", ["left", "right"])
+
+
+class ProductBatch:
+    """One round as item × level blocks, item-major.
+
+    `kind` is a two-field query namedtuple (`RankQuery`, `cake.CutQuery`)
+    and `blocks` a tuple of (items tuple, levels tuple) pairs. Block
+    (items, levels) asks kind(item, level) for each item and, within an
+    item, for each level; iterating yields those queries in that order,
+    block after block. It compares and hashes like the tuple of its
+    queries. The constructor copies every block into tuples, so changing
+    the caller's lists afterwards does not change the batch; nothing here
+    assigns its attributes after that, and callers must not either.
+    """
+
+    __slots__ = ("kind", "blocks", "_size")
+
+    def __init__(self, kind, blocks):
+        frozen = []
+        size = 0
+        for items, levels in blocks:
+            items = tuple(items)
+            levels = tuple(levels)
+            size += len(items) * len(levels)
+            frozen.append((items, levels))
+        self.kind = kind
+        self.blocks = tuple(frozen)
+        self._size = size
+
+    def __len__(self):
+        return self._size
+
+    def __iter__(self):
+        make = partial(tuple.__new__, self.kind)  # kind(item, level), in C
+        return chain.from_iterable(map(make, product(items, levels))
+                                   for items, levels in self.blocks)
+
+    def __eq__(self, other):
+        if other.__class__ is ProductBatch:
+            if self.kind is other.kind and self.blocks == other.blocks:
+                return True
+            return self._size == other._size and tuple(self) == tuple(other)
+        if isinstance(other, tuple):
+            return self._size == len(other) and tuple(self) == other
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __repr__(self):
+        return "ProductBatch(%s, %r)" % (self.kind.__name__, self.blocks)
 
 
 def compare(a, b):
@@ -118,7 +178,16 @@ class HiddenInstance:
         raise MalformedQuery("bad item reference: %r" % (ref,))
 
     def answer_batch(self, queries):
-        """Answer one batch; every answer is a function of the instance only."""
+        """Answer one batch; every answer is a function of the instance only.
+
+        A `ProductBatch` of rank queries is answered block by block; one
+        holding anything that fast path does not accept goes through the
+        per-query loop below, which raises what it raises on a flat batch.
+        """
+        if queries.__class__ is ProductBatch and queries.kind is RankQuery:
+            answers = self._answer_blocks(queries.blocks)
+            if answers is not None:
+                return answers
         ranks = self.ranks
         n = len(ranks)
         ti = self.target_index
@@ -147,19 +216,68 @@ class HiddenInstance:
                 raise MalformedQuery("unknown query type: %r" % (q,))
         return answers
 
+    def _answer_blocks(self, blocks):
+        """Answers to rank-query blocks, or None when some block holds a
+        threshold or an item reference the per-query loop must judge.
+
+        Each block's thresholds and items are checked once. Against two or
+        more strictly ascending thresholds an item's answers are a run of
+        `>`, at most one `=` and a run of `<`, split by one bisect.
+        """
+        ranks = self.ranks
+        n = len(ranks)
+        ti = self.target_index
+        out = []
+        for items, ts in blocks:
+            if not ts:
+                continue  # asks nothing, so its items go unjudged
+            prev = 0
+            ascending = True
+            for t in ts:
+                if t.__class__ is int and prev < t <= n:
+                    prev = t
+                elif t.__class__ is int and 1 <= t <= n:
+                    ascending = False
+                else:
+                    return None
+            width = len(ts)
+            bisecting = ascending and width > 1
+            for item in items:
+                if item.__class__ is int and 1 <= item <= n:
+                    r = ranks[item - 1]
+                elif item == TARGET and ti is not None:
+                    r = ranks[ti - 1]
+                else:
+                    return None
+                if bisecting:
+                    below = bisect_left(ts, r)  # thresholds under the rank
+                    out += [GREATER] * below
+                    if below < width and ts[below] == r:
+                        out.append(EQUAL)
+                        below += 1
+                    out += [LESS] * (width - below)
+                else:
+                    for t in ts:
+                        out.append(LESS if r < t else EQUAL if r == t else GREATER)
+        return out
+
 
 @dataclass(frozen=True)
 class RoundTranscript:
     """A session's record up to the moment `Session.transcript()` ran.
 
-    It keeps the session's own (queries, answers) tuples, one pair per
-    batch, so taking it costs O(k) and it does not grow with later rounds.
-    The per-query (query, answer) pairs are zipped on the first read of
-    `rounds`; `round_sizes` and `total_queries` never build them. Equality
-    and hash go by the batches, which is the same as going by `rounds`.
+    It keeps the session's own (queries, answers) pairs, one per batch, so
+    taking it costs O(k) and it does not grow with later rounds. The
+    per-query (query, answer) pairs, and the queries of a `ProductBatch`,
+    are built on the first read of `rounds`; `round_sizes` and
+    `total_queries` never build them. Equality and hash go by the batches,
+    which is the same as going by `rounds`, since a `ProductBatch` compares
+    and hashes like the tuple of its queries.
     """
 
-    batches: tuple  # one (queries tuple, answers tuple) pair per round
+    # one (queries, answers tuple) pair per round; queries is a tuple or a
+    # ProductBatch
+    batches: tuple
     k_limit: int
 
     @cached_property
@@ -204,11 +322,17 @@ class Session:
         return self.backend.target_rank
 
     def submit_round(self, queries):
-        """Answer one batch through the backend, charging one round."""
+        """Answer one batch through the backend, charging one round.
+
+        `queries` is an iterable of queries, copied into a tuple, or a
+        `ProductBatch`, which is immutable and kept as it is. Either way
+        the transcript records the queries in iteration order.
+        """
         if len(self._batches) >= self.k_limit:
             raise RoundLimitExceeded(
                 "already used %d of %d rounds" % (len(self._batches), self.k_limit))
-        queries = tuple(queries)
+        if queries.__class__ is not ProductBatch:
+            queries = tuple(queries)
         answers = tuple(self.backend.answer_batch(queries))
         if len(answers) != len(queries):
             raise ValueError("the backend gave %d answers to %d queries"

@@ -24,12 +24,10 @@ step and its m steps cost O(m*P).
 """
 
 from dataclasses import dataclass, field
-from functools import partial
-from itertools import product
 from math import e
 
-from .oracle import (EQUAL, GREATER, LESS, MalformedQuery, RankQuery,
-                     Session, compare)
+from .oracle import (EQUAL, GREATER, LESS, MalformedQuery, ProductBatch,
+                     RankQuery, Session, compare)
 from .util import ceil_div, ceil_kth_root
 
 
@@ -48,17 +46,13 @@ def block_thresholds(lo, hi, rounds_left):
     return [lo - 1 + ceil_div(m * j, z) for j in range(1, z)]
 
 
-_rank_query = partial(tuple.__new__, RankQuery)
-
-
 def sort_rank(session, n, k):
     """Rank of every item, as a tuple indexed by item - 1.
 
-    Each block's probes are built in one C-level pass over
-    product(items, thresholds), and each item's answers are read off three
-    string searches (`_read_round`), so a round costs Python steps per
-    item and per block, not per query. The session's transcript zips the
-    (query, answer) pairs only when its `rounds` is read.
+    Each round is one `ProductBatch` of (items, thresholds) blocks, and
+    each item's answers are read off three string searches (`_read_round`),
+    so a round costs Python steps per item and per block, not per query.
+    No query object is built unless the transcript's `rounds` is read.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -70,14 +64,14 @@ def sort_rank(session, n, k):
         blocks[(1, n)] = list(range(1, n + 1))
     rounds_left = k
     while blocks and rounds_left >= 1:
-        queries = []
-        plan = []  # (lo, hi, thresholds, items) per block, in submission order
+        probes = []  # (items, thresholds) per block, in submission order
+        plan = []  # (lo, hi, thresholds, items) per block, in the same order
         for (lo, hi), items in sorted(blocks.items()):
             assert len(items) == hi - lo + 1, "block size must match its span"
             ts = block_thresholds(lo, hi, rounds_left)
-            queries.extend(map(_rank_query, product(items, ts)))
+            probes.append((items, ts))
             plan.append((lo, hi, ts, items))
-        answers = session.submit_round(queries)
+        answers = session.submit_round(ProductBatch(RankQuery, probes))
         rounds_left -= 1
         blocks = _read_round(plan, answers, resolved)
     assert not blocks, "the round budget always suffices"

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
 
-from .oracle import EQUAL, RankQuery, is_permutation
+from .oracle import EQUAL, ProductBatch, RankQuery, is_permutation
 from .util import bernoulli
 
 
@@ -64,7 +64,7 @@ def _probe(session, schedule, probe_order):
         if size == 0:
             continue
         batch = probe_order[at:at + size]
-        answers = session.submit_round([RankQuery(i, r) for i in batch])
+        answers = session.submit_round(ProductBatch(RankQuery, ((batch, (r,)),)))
         at += size
         for i, a in zip(batch, answers):
             if a == EQUAL:

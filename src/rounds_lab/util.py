@@ -80,13 +80,18 @@ def ceil_log2(n):
 
 
 def bernoulli(p, rng):
-    """True with probability p; exact for any rational p in [0, 1]."""
-    p = Fraction(p)
-    if p <= 0:
+    """True with probability p; exact for any rational p in [0, 1].
+
+    One 64-bit draw u decides u / 2**64 < p, compared in integers.
+    """
+    if p.__class__ is not Fraction:
+        p = Fraction(p)
+    num, den = p.numerator, p.denominator
+    if num <= 0:
         return False
-    if p >= 1:
+    if num >= den:
         return True
-    return Fraction(rng.getrandbits(64), 2 ** 64) < p
+    return rng.getrandbits(64) * den < num << 64
 
 
 def normalized_weights(ws):

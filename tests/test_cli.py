@@ -57,6 +57,16 @@ def test_exit_codes(capsys):
     assert code == 2 and "ValueError" in err
 
 
+def test_locate_with_p_zero_asks_nothing_and_passes(capsys):
+    for mode in ("exact", "mc"):
+        code, out, err = run_cli(capsys, "locate", "--n", "5", "--k", "3",
+                                 "--p", "0", "--mode", mode, "--trials", "50")
+        assert code == 0 and err == ""
+        row = parse_rows(out)[0]
+        assert row["pass"] == "true" and row["mode"] == mode
+        assert float(row["mean_queries"]) == 0 and float(row["success_rate"]) == 0
+
+
 def test_failing_row_exits_one(capsys, monkeypatch):
     real = harness.run_experiment
 

@@ -53,6 +53,37 @@ def test_bernoulli_rate():
     assert abs(hits / 40000 - 0.25) < 0.01
 
 
+def reference_bernoulli(p, rng):
+    """The two-Fraction form the integer test replaced."""
+    p = Fraction(p)
+    if p <= 0:
+        return False
+    if p >= 1:
+        return True
+    return Fraction(rng.getrandbits(64), 2 ** 64) < p
+
+
+def test_bernoulli_matches_the_fraction_form():
+    ps = ([Fraction(j, d) for d in range(1, 13) for j in range(-1, d + 2)]
+          + [0, 1, 2, -3, 0.25, 0.3, 1e-30, 1 - 1e-16, True, False,
+             Fraction(1, 2 ** 64), Fraction(2 ** 64 - 1, 2 ** 64),
+             Fraction(1, 3 * 2 ** 70), Fraction(10 ** 30 - 1, 10 ** 30)])
+    for seed in range(40):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for p in ps:
+            assert bernoulli(p, rng) == reference_bernoulli(p, ref), (seed, p)
+        assert rng.getstate() == ref.getstate()
+    # draws at and either side of p * 2**64 decide the same way
+    for p, u in ((Fraction(1, 3), 2 ** 64 // 3), (Fraction(1, 3), 2 ** 64 // 3 + 1),
+                 (Fraction(1, 2), 2 ** 63 - 1), (Fraction(1, 2), 2 ** 63),
+                 (Fraction(3, 4), 3 * 2 ** 62)):
+        class Fixed:
+            def getrandbits(self, bits):
+                assert bits == 64
+                return u
+        assert bernoulli(p, Fixed()) == reference_bernoulli(p, Fixed())
+
+
 def test_normalized_weights_rejects_bad():
     with pytest.raises(ValueError):
         normalized_weights([Fraction(1, 2), Fraction(1, 3)])
