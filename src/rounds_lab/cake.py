@@ -27,8 +27,9 @@ from fractions import Fraction
 from math import lcm
 from numbers import Rational
 
-from .oracle import MalformedQuery, ProductBatch, Session as CakeSession
-from .util import ceil_kth_root
+from .oracle import (MalformedQuery, ProductBatch, Session as CakeSession,
+                     blocks_of, query_at)
+from .util import ceil_kth_root, ceil_log2
 
 
 class MalformedAllocation(Exception):
@@ -161,63 +162,51 @@ def verify_proportional(allocation, agents):
     return all(v >= share for v in values), values
 
 
+def check_agent(agent, n):
+    """Raise MalformedQuery unless agent is an int in 1..n."""
+    if not (agent.__class__ is int and 1 <= agent <= n):
+        raise MalformedQuery("agent out of range: %r" % (agent,))
+
+
 class DensityBackend:
     """Answers division queries from actual piecewise densities."""
 
     def __init__(self, agents):
         self.agents = tuple(agents)
 
-    def answer_batch(self, queries):
-        """Answer one batch. A `ProductBatch` of cut queries is answered
-        block by block; one holding anything that fast path does not accept
-        goes through the per-query loop, which raises what it raises on a
-        flat batch."""
-        if queries.__class__ is ProductBatch and queries.kind is CutQuery:
-            answers = self._answer_cut_blocks(queries.blocks)
-            if answers is not None:
-                return answers
-        agents = self.agents
-        n = len(agents)
-        out = []
-        append = out.append
-        for q in queries:
-            cls = q.__class__
-            if cls is CutQuery:
-                x = q.alpha
-            elif cls is EvalQuery:
-                x = q.y
-            else:
-                raise MalformedQuery("unknown division query: %r" % (q,))
-            agent = q.agent
-            if not (agent.__class__ is int and 1 <= agent <= n):
-                raise MalformedQuery("agent out of range: %r" % (agent,))
-            if ((x.__class__ is not Fraction and not isinstance(x, Rational))
-                    or not 0 <= x.numerator <= x.denominator):
-                raise MalformedQuery("%s is not a rational in [0, 1]: %r" % (
-                    "cut argument" if cls is CutQuery else "eval point", x))
-            density = agents[agent - 1]
-            append(density.cut(x) if cls is CutQuery else density.prefix(x))
-        return out
+    def answer_batch(self, batch):
+        """Answer one batch block by block: a cut block asks its agents'
+        `cut`, an eval block their `prefix`, at the block's levels.
 
-    def _answer_cut_blocks(self, blocks):
-        """Cuts for (agents, alphas) blocks, or None when some block holds
-        an agent or a cut argument the per-query loop must judge. Every
-        block's agents and arguments are checked once, before any agent is
-        asked for a cut; the agents are only asked for `cut`."""
+        A block's levels are checked once, each agent before its levels,
+        and every agent is asked for the answers ahead of the first bad
+        level, just as query-by-query checking does.
+        """
         agents = self.agents
         n = len(agents)
-        for ids, alphas in blocks:
-            for x in alphas:
-                if not ((x.__class__ is Fraction or x.__class__ is int)
-                        and 0 <= x.numerator <= x.denominator):
-                    return None
-            for agent in ids:
-                if not (agent.__class__ is int and 1 <= agent <= n):
-                    return None
         out = []
-        for ids, alphas in blocks:
+        for kind, ids, xs in blocks_of(batch):
+            if not ids or not xs:
+                continue
+            if kind is not CutQuery and kind is not EvalQuery:
+                raise MalformedQuery("unknown division query: %r"
+                                     % (query_at(kind, ids[0], xs[0]),))
+            good = 0  # levels ahead of the first bad one
+            for x in xs:
+                if ((x.__class__ is not Fraction and not isinstance(x, Rational))
+                        or not 0 <= x.numerator <= x.denominator):
+                    break
+                good += 1
             for agent in ids:
-                out.extend(map(agents[agent - 1].cut, alphas))
+                check_agent(agent, n)
+                density = agents[agent - 1]
+                answer = density.cut if kind is CutQuery else density.prefix
+                if good < len(xs):
+                    out.extend(map(answer, xs[:good]))
+                    raise MalformedQuery("%s is not a rational in [0, 1]: %r" % (
+                        "cut argument" if kind is CutQuery else "eval point",
+                        xs[good]))
+                out.extend(map(answer, xs))
         return out
 
 
@@ -267,6 +256,9 @@ def run_proportional(session, n, k):
     """
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
+    # every round at least halves each group, so rounds past ceil(log2 n)
+    # change no split; the clamp keeps n ** (k - round_no) small
+    k = min(k, max(1, ceil_log2(n)))
     # one tuple per group: (agents, lo, region_lo, region_hi); its members
     # mark values between lo/n and (lo + len(agents))/n
     groups = [(tuple(range(1, n + 1)), 0, Fraction(0), Fraction(1))]

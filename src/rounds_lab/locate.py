@@ -101,16 +101,10 @@ def _locate_sorted(session, n, k, cands):
         if lo == hi:
             # earlier answers pinned the rank exactly, no query needed
             return lo
-        if len(cands) == 1:
-            t = cands[0]
-            answer = session.submit_round([RankQuery(TARGET, t)])[0]
-            return t if answer == EQUAL else None
         assert rounds_left > 0, "plan must resolve within the round budget"
-        probes = [cands[i] for i in probe_positions(len(cands), rounds_left)]
-        # one probe is cheaper to send as it is than as a block
-        answers = session.submit_round(
-            [RankQuery(TARGET, probes[0])] if len(probes) == 1
-            else ProductBatch(RankQuery, (((TARGET,), probes),)))
+        # a lone candidate is probed itself
+        probes = [cands[i] for i in probe_positions(len(cands), rounds_left) or (0,)]
+        answers = session.submit_round(ProductBatch(RankQuery, (((TARGET,), probes),)))
         rounds_left -= 1
         for t, a in zip(probes, answers):
             if a == EQUAL:

@@ -16,9 +16,11 @@ division backends `cake.DensityBackend` and
 A batch is any iterable of queries, or a `ProductBatch`: the same queries
 given as item × level blocks, which is how every round the algorithms here
 ask is shaped. The session keeps a `ProductBatch` as it is, so a round
-costs no object per query until its transcript's `rounds` is read.
-`HiddenInstance` and `cake.DensityBackend` answer one block by block; every
-other backend iterates it and sees the same queries a flat batch holds.
+costs no object per query until its transcript's `rounds` is read. Every
+backend reads a batch one way, as the (kind, items, levels) blocks that
+`blocks_of` returns, in one loop: a flat batch is one 1 × 1 block per
+query. A malformed block raises what its first malformed query raises
+when the same queries are checked one at a time, item-major.
 """
 
 from bisect import bisect_left
@@ -53,13 +55,14 @@ class ProductBatch:
     """One round as item × level blocks, item-major.
 
     `kind` is a two-field query namedtuple (`RankQuery`, `cake.CutQuery`)
-    and `blocks` a tuple of (items tuple, levels tuple) pairs. Block
+    and `blocks` an iterable of (items, levels) pairs. Block
     (items, levels) asks kind(item, level) for each item and, within an
     item, for each level; iterating yields those queries in that order,
     block after block. It compares and hashes like the tuple of its
-    queries. The constructor copies every block into tuples, so changing
-    the caller's lists afterwards does not change the batch; nothing here
-    assigns its attributes after that, and callers must not either.
+    queries. The constructor copies every block into a (kind, items tuple,
+    levels tuple) triple of `blocks`, so changing the caller's lists
+    afterwards does not change the batch; nothing here assigns its
+    attributes after that, and callers must not either.
     """
 
     __slots__ = ("kind", "blocks", "_size")
@@ -71,7 +74,7 @@ class ProductBatch:
             items = tuple(items)
             levels = tuple(levels)
             size += len(items) * len(levels)
-            frozen.append((items, levels))
+            frozen.append((kind, items, levels))
         self.kind = kind
         self.blocks = tuple(frozen)
         self._size = size
@@ -82,11 +85,11 @@ class ProductBatch:
     def __iter__(self):
         make = partial(tuple.__new__, self.kind)  # kind(item, level), in C
         return chain.from_iterable(map(make, product(items, levels))
-                                   for items, levels in self.blocks)
+                                   for _, items, levels in self.blocks)
 
     def __eq__(self, other):
         if other.__class__ is ProductBatch:
-            if self.kind is other.kind and self.blocks == other.blocks:
+            if self.blocks == other.blocks:
                 return True
             return self._size == other._size and tuple(self) == tuple(other)
         if isinstance(other, tuple):
@@ -97,7 +100,27 @@ class ProductBatch:
         return hash(tuple(self))
 
     def __repr__(self):
-        return "ProductBatch(%s, %r)" % (self.kind.__name__, self.blocks)
+        return "ProductBatch(%s, %r)" % (
+            self.kind.__name__, tuple(block[1:] for block in self.blocks))
+
+
+class NotAPair:
+    """The block kind `blocks_of` gives a flat query that is not a pair; no
+    backend serves it. The block's one item is the query itself."""
+
+
+def blocks_of(batch):
+    """A batch as (kind, items, levels) blocks: a `ProductBatch`'s own, or
+    one 1 × 1 block per query of a flat batch, of the query's class."""
+    if batch.__class__ is ProductBatch:
+        return batch.blocks
+    return [(q.__class__, (q[0],), (q[1],)) if isinstance(q, tuple) and len(q) == 2
+            else (NotAPair, (q,), (None,)) for q in batch]
+
+
+def query_at(kind, item, level):
+    """The query a (kind, items, levels) block asks of item at level."""
+    return item if kind is NotAPair else tuple.__new__(kind, (item, level))
 
 
 def compare(a, b):
@@ -165,100 +188,77 @@ class HiddenInstance:
             raise ValueError("instance has no promised element")
         return self.ranks[self.target_index - 1]
 
-    def _resolve(self, ref):
+    def _rank(self, ref):
+        """Rank of the item `ref` names: an index in 1..n, or TARGET."""
         if ref.__class__ is int:
-            if not 1 <= ref <= self.n:
-                raise MalformedQuery("item index out of range: %r" % (ref,))
-            return ref
+            if 1 <= ref <= len(self.ranks):
+                return self.ranks[ref - 1]
+            raise MalformedQuery("item index out of range: %r" % (ref,))
         if ref == TARGET:
-            ti = self.target_index
-            if ti is None:
+            if self.target_index is None:
                 raise MalformedQuery("no promised element to refer to")
-            return ti
+            return self.ranks[self.target_index - 1]
         raise MalformedQuery("bad item reference: %r" % (ref,))
 
-    def answer_batch(self, queries):
+    def answer_batch(self, batch):
         """Answer one batch; every answer is a function of the instance only.
 
-        A `ProductBatch` of rank queries is answered block by block; one
-        holding anything that fast path does not accept goes through the
-        per-query loop below, which raises what it raises on a flat batch.
-        """
-        if queries.__class__ is ProductBatch and queries.kind is RankQuery:
-            answers = self._answer_blocks(queries.blocks)
-            if answers is not None:
-                return answers
-        ranks = self.ranks
-        n = len(ranks)
-        ti = self.target_index
-        answers = []
-        append = answers.append
-        for q in queries:
-            if q.__class__ is RankQuery:
-                item = q.item
-                t = q.threshold
-                if not (t.__class__ is int and 1 <= t <= n):
-                    raise MalformedQuery("threshold out of range: %r" % (t,))
-                if item.__class__ is int and 1 <= item <= n:
-                    r = ranks[item - 1]
-                elif item == TARGET and ti is not None:
-                    r = ranks[ti - 1]
-                else:
-                    r = ranks[self._resolve(item) - 1]
-                append(LESS if r < t else EQUAL if r == t else GREATER)
-            elif q.__class__ is ComparisonQuery:
-                if q.left == q.right:
-                    raise MalformedQuery("comparison needs two distinct references")
-                a = ranks[self._resolve(q.left) - 1]
-                b = ranks[self._resolve(q.right) - 1]
-                append(LESS if a < b else EQUAL if a == b else GREATER)
-            else:
-                raise MalformedQuery("unknown query type: %r" % (q,))
-        return answers
-
-    def _answer_blocks(self, blocks):
-        """Answers to rank-query blocks, or None when some block holds a
-        threshold or an item reference the per-query loop must judge.
-
-        Each block's thresholds and items are checked once. Against two or
-        more strictly ascending thresholds an item's answers are a run of
-        `>`, at most one `=` and a run of `<`, split by one bisect.
+        A rank block checks its thresholds once. Its first item is judged
+        after the first threshold and before the rest, as query-by-query
+        checking judges it. Against two or more strictly ascending
+        thresholds an item's answers are a run of `>`, at most one `=` and
+        a run of `<`, split by one bisect.
         """
         ranks = self.ranks
         n = len(ranks)
         ti = self.target_index
         out = []
-        for items, ts in blocks:
-            if not ts:
-                continue  # asks nothing, so its items go unjudged
-            prev = 0
-            ascending = True
-            for t in ts:
-                if t.__class__ is int and prev < t <= n:
-                    prev = t
-                elif t.__class__ is int and 1 <= t <= n:
-                    ascending = False
-                else:
-                    return None
-            width = len(ts)
-            bisecting = ascending and width > 1
-            for item in items:
-                if item.__class__ is int and 1 <= item <= n:
-                    r = ranks[item - 1]
-                elif item == TARGET and ti is not None:
-                    r = ranks[ti - 1]
-                else:
-                    return None
-                if bisecting:
+        for kind, items, ts in blocks_of(batch):
+            if not items or not ts:
+                continue  # asks nothing, so nothing in it is judged
+            if kind is RankQuery:
+                prev = 0
+                ascending = True
+                for t in ts:
+                    if t.__class__ is int and prev < t <= n:
+                        prev = t
+                    elif t.__class__ is int and 1 <= t <= n:
+                        ascending = False
+                    else:
+                        if prev:  # an earlier threshold passed
+                            self._rank(items[0])
+                        raise MalformedQuery("threshold out of range: %r" % (t,))
+                width = len(ts)
+                for item in items:
+                    if item.__class__ is int and 1 <= item <= n:
+                        r = ranks[item - 1]
+                    elif item == TARGET and ti is not None:
+                        r = ranks[ti - 1]
+                    else:
+                        r = self._rank(item)  # raises
+                    if width == 1 or not ascending:
+                        for t in ts:
+                            out.append(LESS if r < t else EQUAL if r == t else GREATER)
+                        continue
                     below = bisect_left(ts, r)  # thresholds under the rank
                     out += [GREATER] * below
                     if below < width and ts[below] == r:
                         out.append(EQUAL)
                         below += 1
                     out += [LESS] * (width - below)
-                else:
-                    for t in ts:
-                        out.append(LESS if r < t else EQUAL if r == t else GREATER)
+            elif kind is ComparisonQuery:
+                rank = self._rank
+                for left in items:
+                    for right in ts:
+                        if left == right:
+                            raise MalformedQuery(
+                                "comparison needs two distinct references")
+                        a = rank(left)
+                        b = rank(right)
+                        out.append(LESS if a < b else EQUAL if a == b else GREATER)
+            else:
+                raise MalformedQuery("unknown query type: %r"
+                                     % (query_at(kind, items[0], ts[0]),))
         return out
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from math import e
 
 from .oracle import (EQUAL, GREATER, LESS, MalformedQuery, ProductBatch,
-                     RankQuery, Session, compare)
+                     RankQuery, Session, blocks_of, compare)
 from .util import ceil_div, ceil_kth_root
 
 
@@ -205,31 +205,38 @@ def _carve(state, items, lo, hi, local, answers):
     _commit(state, items, lo, hi)
 
 
-def adversary_round(state, queries):
+def adversary_round(state, batch):
     """Answer one batch while committing as little order as possible."""
-    answers = [None] * len(queries)
+    n = state.n
+    resolved = state.resolved
+    answers = [None] * len(batch)
     segment_of = {item: seg for seg in state.segments for item in seg.items}
     by_segment = {}
-    for pos, q in enumerate(queries):
-        if q.__class__ is not RankQuery:
+    pos = 0
+    for kind, items, ts in blocks_of(batch):
+        if not ts:
+            continue  # asks nothing, so nothing in it is judged
+        if items and kind is not RankQuery:
             raise MalformedQuery("the opponent only serves rank queries")
-        item, t = q.item, q.threshold
-        if not (item.__class__ is int and 1 <= item <= state.n):
-            raise MalformedQuery("item index out of range: %r" % (item,))
-        if not (t.__class__ is int and 1 <= t <= state.n):
-            raise MalformedQuery("threshold out of range: %r" % (t,))
-        if item in state.resolved:
-            answers[pos] = compare(state.resolved[item], t)
-            continue
-        seg = segment_of.get(item)
-        if seg is None:
-            raise InconsistentQuery("item %d belongs nowhere" % (item,))
-        if t < seg.lo:
-            answers[pos] = GREATER
-        elif t > seg.hi:
-            answers[pos] = LESS
-        else:
-            by_segment.setdefault(id(seg), (seg, []))[1].append((pos, item, t))
+        for item in items:
+            if not (item.__class__ is int and 1 <= item <= n):
+                raise MalformedQuery("item index out of range: %r" % (item,))
+            r = resolved.get(item)
+            seg = segment_of.get(item)
+            for t in ts:
+                if not (t.__class__ is int and 1 <= t <= n):
+                    raise MalformedQuery("threshold out of range: %r" % (t,))
+                if r is not None:
+                    answers[pos] = compare(r, t)
+                elif seg is None:
+                    raise InconsistentQuery("item %d belongs nowhere" % (item,))
+                elif t < seg.lo:
+                    answers[pos] = GREATER
+                elif t > seg.hi:
+                    answers[pos] = LESS
+                else:
+                    by_segment.setdefault(id(seg), (seg, []))[1].append((pos, item, t))
+                pos += 1
     state.segments = [s for s in state.segments if id(s) not in by_segment]
     for seg, local in by_segment.values():
         _carve(state, seg.items, seg.lo, seg.hi, local, answers)

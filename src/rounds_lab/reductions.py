@@ -29,10 +29,13 @@ requested (`run_proportional` requests them all).
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import groupby
+from operator import itemgetter
 
-from .cake import CutQuery, EvalQuery, check_allocation
-from .oracle import (LESS, GREATER, ComparisonQuery, MalformedQuery, RankQuery,
-                     Session, TARGET, compare, flip, is_identity)
+from .cake import CutQuery, EvalQuery, check_agent, check_allocation
+from .oracle import (LESS, GREATER, ComparisonQuery, MalformedQuery,
+                     ProductBatch, RankQuery, Session, TARGET, blocks_of, compare,
+                     flip, is_identity, query_at)
 
 
 _ZERO = Fraction(0)
@@ -60,14 +63,16 @@ class LocateComparisonBackend:
             raise ValueError("the underlying array must be sorted")
         self.inner = comparison_session
 
-    def answer_batch(self, queries):
-        batch = []
-        for q in queries:
-            if q.__class__ is not RankQuery or q.item != TARGET:
+    def answer_batch(self, batch):
+        blocks = []
+        for kind, items, ts in blocks_of(batch):
+            if not items or not ts:
+                continue
+            if kind is not RankQuery or any(item != TARGET for item in items):
                 raise MalformedQuery(
                     "this view only serves rank probes on the promised element")
-            batch.append(ComparisonQuery(TARGET, q.threshold))
-        return self.inner.submit_round(batch)
+            blocks.append(((TARGET,) * len(items), ts))
+        return self.inner.submit_round(ProductBatch(ComparisonQuery, blocks))
 
 
 def ordered_to_locate_adapter(comparison_session):
@@ -88,15 +93,18 @@ class SelectComparisonBackend:
     def target_rank(self):
         return self.inner.promised_rank
 
-    def answer_batch(self, queries):
+    def answer_batch(self, batch):
         r = self.inner.promised_rank
-        batch = []
-        for q in queries:
-            if q.__class__ is not RankQuery or q.threshold != r:
+        blocks = []
+        for kind, items, ts in blocks_of(batch):
+            if not items or not ts:
+                continue
+            if kind is not RankQuery or any(t != r for t in ts):
                 raise MalformedQuery(
                     "this view only serves rank probes at the promised rank")
-            batch.append(ComparisonQuery(TARGET, q.item))
-        return [flip(a) for a in self.inner.submit_round(batch)]
+            blocks.append(((TARGET,), [item for item in items for _ in ts]))
+        answers = self.inner.submit_round(ProductBatch(ComparisonQuery, blocks))
+        return [flip(a) for a in answers]
 
 
 def unordered_to_select_adapter(comparison_session):
@@ -187,7 +195,35 @@ class AdversaryCakeBackend:
         self.inst = AdversaryCakeInstance(n=n)
         self.rank_session = rank_session
 
-    def answer_batch(self, queries):
+    def _cut_level(self, alpha):
+        """(grid i, None) for a cut at alpha, or (0, 0) when alpha is 0."""
+        n = self.inst.n
+        a = alpha if alpha.__class__ is Fraction else Fraction(alpha)
+        # alpha*n is whole exactly when alpha's denominator divides n
+        d = a.denominator
+        if n % d:
+            raise ProtocolNotPrimitive(
+                "cut argument %s is not a multiple of 1/%d" % (alpha, n))
+        i = a.numerator * (n // d)
+        if not 0 <= i <= n:
+            raise MalformedQuery("cut argument outside [0, 1]")
+        return i, None if i else _ZERO
+
+    def _eval_level(self, y):
+        """(grid i, point over den) for an eval at y, or (0, y) at 0 and 1."""
+        inst = self.inst
+        if y.__class__ is not Fraction:
+            y = Fraction(y)
+        if y == 0 or y == 1:
+            return 0, y
+        point = inst.point_key(y)
+        ref = inst.points.get(point)
+        if ref is None:
+            raise MalformedQuery(
+                "eval at a point that is not a previous cut: %s" % (y,))
+        return ref[1], point
+
+    def answer_batch(self, batch):
         inst = self.inst
         n = inst.n
         slots = inst.slots
@@ -195,48 +231,32 @@ class AdversaryCakeBackend:
         # (0, None, answer)
         grids = []
         new = {}  # (agent, i) pairs to probe, in order of first appearance
-        for q in queries:
-            cls = q.__class__
-            if cls is not CutQuery and cls is not EvalQuery:
-                raise MalformedQuery("unknown division query: %r" % (q,))
-            agent = q.agent
-            if not (agent.__class__ is int and 1 <= agent <= n):
-                raise MalformedQuery("agent out of range: %r" % (agent,))
-            if cls is CutQuery:
-                alpha = q.alpha
-                if alpha.__class__ is not Fraction:
-                    alpha = Fraction(alpha)
-                # alpha*n is whole exactly when alpha's denominator divides n
-                d = alpha.denominator
-                if n % d:
-                    raise ProtocolNotPrimitive(
-                        "cut argument %s is not a multiple of 1/%d" % (q.alpha, n))
-                i = alpha.numerator * (n // d)
-                if not 0 <= i <= n:
-                    raise MalformedQuery("cut argument outside [0, 1]")
-                if not i:
-                    grids.append((0, None, _ZERO))
-                    continue
-                point = None
+        for kind, agents, xs in blocks_of(batch):
+            if not agents or not xs:
+                continue
+            if kind is CutQuery:
+                level = self._cut_level
+            elif kind is EvalQuery:
+                level = self._eval_level
             else:
-                y = q.y
-                if y.__class__ is not Fraction:
-                    y = Fraction(y)
-                if y == 0 or y == 1:
-                    grids.append((0, None, y))
-                    continue
-                point = inst.point_key(y)
-                ref = inst.points.get(point)
-                if ref is None:
-                    raise MalformedQuery(
-                        "eval at a point that is not a previous cut: %s" % (y,))
-                i = ref[1]
-            key = (agent, i)
-            grids.append((i, key, point))
-            if key not in slots:
-                new[key] = None
-        relations = self.rank_session.submit_round(
-            [RankQuery(agent, i) for agent, i in new])
+                raise MalformedQuery("unknown division query: %r"
+                                     % (query_at(kind, agents[0], xs[0]),))
+            # the first agent is judged before the levels, each level once
+            check_agent(agents[0], n)
+            levels = [level(x) for x in xs]
+            for agent in agents:
+                check_agent(agent, n)
+                for i, point in levels:
+                    if not i:
+                        grids.append((0, None, point))
+                        continue
+                    key = (agent, i)
+                    grids.append((i, key, point))
+                    if key not in slots:
+                        new[key] = None
+        # one block per run of probes on the same agent
+        relations = self.rank_session.submit_round(ProductBatch(RankQuery, [
+            ((agent,), [i for _, i in run]) for agent, run in groupby(new, itemgetter(0))]))
         pin = inst.pin
         for (agent, i), relation in zip(new, relations):
             pin(agent, i, relation)

@@ -11,6 +11,8 @@ def ceil_kth_root(n, k):
     """Smallest integer z with z**k >= n, exact for every integer n."""
     if n <= 1:
         return n
+    if (n - 1).bit_length() <= k:
+        return 2  # 1 < n <= 2**k
     # integer Newton from above: the seed 2**ceil(bits/k) is at least the
     # root, and each step stays at or above floor(root) until it stops
     z = 1 << ceil_div(n.bit_length(), k)

@@ -141,6 +141,20 @@ def test_protocol_is_proportional(n, k, seed):
     check_protocol([random_density(rng) for _ in range(n)], k)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 33, 100])
+def test_rounds_past_log2_n_change_nothing(n):
+    """Every round at least halves each group, so a budget past
+    ceil(log2 n) rounds gives the same record, even a huge one."""
+    rng = random.Random(n)
+    agents = [random_density(rng, max_pieces=4, denom=12) for _ in range(n)]
+    least = max(1, (n - 1).bit_length())
+    want_allocation, want = proportional_protocol(agents, least)
+    for k in (least + 1, least + 5, 50, 10 ** 12):
+        allocation, tx = proportional_protocol(agents, k)
+        assert allocation == want_allocation
+        assert tx.batches == want.batches and tx.rounds == want.rounds
+
+
 def test_identical_agents_tie_break_by_id():
     """With everyone marking the same points, slices follow agent ids."""
     n = 9

@@ -1,9 +1,13 @@
 import csv
 import io
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import rounds_lab
 from rounds_lab import cli, harness
 from rounds_lab.harness import CSV_COLUMNS
 
@@ -120,6 +124,25 @@ def test_sampled_runs_over_the_budget_are_refused(capsys):
         code, out, err = run_cli(capsys, *argv, "--mode", "mc", "--trials", "1")
         assert (code, out) == (2, "")
         assert err.startswith("OverBudget: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("sort", "--n", "5", "--k", "100000000"),
+    ("sort", "--n", "5", "--k", str(10 ** 12)),
+    ("locate", "--n", "5", "--k", str(10 ** 12)),
+    ("reduce", "--n", "4", "--k", "1000000"),
+    ("cake", "--n", "4", "--k", "100000000", "--mode", "mc", "--trials", "1"),
+])
+def test_huge_round_budgets_finish_fast(argv):
+    """A round budget far past ceil(log2 n) changes no split, and must not
+    cost time that grows with k; a separate process, so a hang times out."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rounds_lab.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "rounds_lab.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=20)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert parse_rows(proc.stdout)[0]["pass"] == "true"
 
 
 @pytest.mark.parametrize("problem,n,k,cap", [

@@ -14,7 +14,9 @@ from rounds_lab.locate import locate_det, locate_det_subset
 from rounds_lab.oracle import (TARGET, ComparisonQuery, HiddenInstance,
                                MalformedQuery, ProductBatch, RankQuery, Session)
 from rounds_lab.rank_sort import new_adversary, sort_rank
-from rounds_lab.reductions import run_reduction
+from rounds_lab.reductions import (AdversaryCakeBackend, LocateComparisonBackend,
+                                   SelectComparisonBackend, ordered_to_locate_adapter,
+                                   run_reduction, unordered_to_select_adapter)
 from rounds_lab.select import build_schedule, select_det
 from conftest import shuffled_ranks
 
@@ -110,7 +112,7 @@ def test_malformed_rank_blocks_raise_what_the_flat_batch_raises(n, seed, data):
     blocks = data.draw(rank_blocks(n, bad=bad))
     want = outcome(inst, flat(RankQuery, blocks))
     assert outcome(inst, ProductBatch(RankQuery, blocks)) == want
-    # the opponent and a comparison kind iterate the batch
+    # the opponent and comparison blocks judge their queries in the same order
     assert outcome(new_adversary(n), ProductBatch(RankQuery, blocks)) == outcome(
         new_adversary(n), flat(RankQuery, blocks))
     assert outcome(inst, ProductBatch(ComparisonQuery, blocks)) == outcome(
@@ -171,7 +173,7 @@ def test_malformed_cut_blocks_raise_what_the_flat_batch_raises(n, seed, data):
     blocks = data.draw(cut_blocks(n, bad=BAD_CUTS + (n + 1,)))
     assert outcome(backend, ProductBatch(CutQuery, blocks)) == outcome(
         backend, flat(CutQuery, blocks))
-    # eval queries have no fast path: the batch is iterated
+    # eval blocks are judged the same way
     assert outcome(backend, ProductBatch(EvalQuery, blocks)) == outcome(
         backend, flat(EvalQuery, blocks))
 
@@ -210,8 +212,8 @@ def test_duck_typed_densities_are_only_asked_for_cuts():
     assert allocations[0] == allocations[1]
     assert sessions[0].transcript() == sessions[1].transcript()
     assert len(log) == sessions[1].total_queries
-    # a batch holding a malformed block is judged before any cut is asked,
-    # so only the per-query loop's cuts ahead of the bad query are logged
+    # a malformed block asks each agent only the cuts ahead of the bad
+    # query, as query-by-query checking does
     for bad_block, message in ((((3,), (2,)), "cut argument"),
                                (((10,), (Fraction(1, 3),)), "agent out of range")):
         del log[:]
@@ -291,7 +293,7 @@ def test_protocol_transcripts_match_the_flat_submission(n, k):
                       lambda s: run_proportional(s, n, k))
     if n > 1:
         assert ProductBatch in kinds
-    # the lazy adversary iterates the protocol's blocks
+    # the lazy adversary reads the protocol's blocks
     ranks = shuffled_ranks(n, k)
     results = [run_reduction(lambda s, m: run_proportional(view(s), m, k), n,
                              Session(HiddenInstance(ranks), k))
@@ -313,3 +315,98 @@ def test_changing_the_callers_lists_after_submission_keeps_the_record():
     want = tuple(zip(flat(RankQuery, [([1, 2, 3], [1, 3])]), answers))
     assert tr.rounds == (want,) and tr.round_sizes == (6,)
     assert all(q.__class__ is RankQuery for q, _ in tr.rounds[0])
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=10 ** 6),
+       st.data())
+def test_views_judge_blocks_as_they_judge_the_flat_batch(n, seed, data):
+    ranks = shuffled_ranks(n, seed)
+    target = seed % n + 1
+    blocks = data.draw(rank_blocks(n, bad=(0, n + 1, True, None)))
+    # the locate view needs a sorted inner array, the select view does not
+    for view, inner in ((LocateComparisonBackend, range(1, n + 1)),
+                        (SelectComparisonBackend, ranks)):
+        select_rank = HiddenInstance(inner, target_index=target).target_rank
+        if view is SelectComparisonBackend and data.draw(st.booleans()):
+            blocks = [(items, [select_rank] * len(levels)) for items, levels in blocks]
+        got = []
+        for batch in (ProductBatch(RankQuery, blocks), flat(RankQuery, blocks)):
+            inner_sess = Session(HiddenInstance(inner, target_index=target), 1)
+            got.append((outcome(view(inner_sess), batch), inner_sess.transcript()))
+        assert got[0] == got[1]
+
+
+def division_levels(n):
+    return [Fraction(j, n) for j in range(n + 1)]
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=10 ** 6),
+       st.data())
+def test_lazy_adversary_judges_blocks_as_it_judges_the_flat_batch(n, seed, data):
+    """Two rounds of division blocks, the second holding evals at the first
+    round's marks; equal answers, errors and rank probes either way."""
+    ranks = shuffled_ranks(n, seed)
+    bad = (0, n + 1, True, Fraction(1, n + 1), Fraction(3, 2), -1)
+    agents = st.sampled_from(list(range(1, n + 1)) + list(bad))
+    first = data.draw(st.lists(st.tuples(st.lists(agents, max_size=4), st.lists(
+        st.sampled_from(division_levels(n) + list(bad)), max_size=4)), max_size=3))
+    evals = data.draw(st.lists(st.tuples(st.lists(agents, max_size=3), st.lists(
+        st.integers(min_value=0, max_value=8), max_size=3)), max_size=2))
+    got = []
+    for as_blocks in (True, False):
+        rank_sess = Session(HiddenInstance(ranks), 2)
+        backend = AdversaryCakeBackend(n, rank_sess)
+        sess = Session(backend, 2)
+        batch = (ProductBatch(CutQuery, first) if as_blocks
+                 else flat(CutQuery, first))
+        record = [outcome_in(sess, batch)]
+        marks = [Fraction(0), Fraction(1)] + sorted(
+            Fraction(p, backend.inst.den) for p in backend.inst.points)
+        blocks = [(ids, [marks[j % len(marks)] for j in picks]) for ids, picks in evals]
+        batch = (ProductBatch(EvalQuery, blocks) if as_blocks
+                 else flat(EvalQuery, blocks))
+        record.append(outcome_in(sess, batch))
+        got.append((record, sess.transcript(), rank_sess.transcript()))
+    assert got[0] == got[1]
+
+
+def outcome_in(sess, batch):
+    """`outcome` on a session that may have rounds behind it."""
+    used = sess.rounds_used
+    try:
+        answers = sess.submit_round(batch)
+    except Exception as exc:
+        assert sess.rounds_used == used
+        return "raised", type(exc), str(exc)
+    return "answered", answers
+
+
+def test_no_answer_path_iterates_a_batch(monkeypatch):
+    """Every backend reads a `ProductBatch` through its blocks, so the
+    algorithms run with iteration switched off; only reading a
+    transcript's `rounds` builds the queries."""
+
+    def refuse(self):
+        raise AssertionError("a ProductBatch was iterated")
+
+    monkeypatch.setattr(ProductBatch, "__iter__", refuse)
+    n, k = 40, 3
+    ranks = shuffled_ranks(n, 5)
+    assert sort_rank(Session(HiddenInstance(ranks), k), n, k) == ranks
+    assert sort_rank(Session(new_adversary(n), k), n, k)
+    agents = agent_densities(7, n)
+    run_proportional(CakeSession(DensityBackend(agents), k), n, k)
+    got = run_reduction(lambda s, m: run_proportional(s, m, k), n,
+                        Session(HiddenInstance(ranks), k))
+    assert got[0] == ranks
+    for t in (1, 17, n):
+        inner = Session(HiddenInstance(range(1, n + 1), target_index=t), k)
+        assert locate_det(ordered_to_locate_adapter(inner), n, k) == t
+        inner = Session(HiddenInstance(ranks, target_index=t), k)
+        order = list(shuffled_ranks(n, t))
+        assert select_det(unordered_to_select_adapter(inner), build_schedule(n, k, 1),
+                          order) == t
+    with pytest.raises(AssertionError, match="iterated"):
+        tuple(ProductBatch(RankQuery, [((1,), (1,))]))

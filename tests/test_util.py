@@ -33,6 +33,12 @@ def test_ceil_kth_root_known():
     z = ceil_kth_root(10 ** 400, 3)
     assert z ** 3 >= 10 ** 400 > (z - 1) ** 3
     assert ceil_kth_root(10 ** 399, 3) == 10 ** 133
+    # a root index far past log2 n answers at once
+    for k in (10 ** 6, 10 ** 9, 10 ** 12):
+        assert ceil_kth_root(2, k) == ceil_kth_root(10 ** 400, k) == 2
+        assert ceil_kth_root(1, k) == 1 and ceil_kth_root(0, k) == 0
+    assert ceil_kth_root(2 ** 40, 40) == 2 and ceil_kth_root(2 ** 40 + 1, 40) == 3
+    assert ceil_kth_root(2 ** 40 + 1, 41) == 2
 
 
 @given(st.integers(min_value=1, max_value=10 ** 9))
