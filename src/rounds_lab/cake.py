@@ -11,13 +11,16 @@ Division queries go through the shared round-limited `Session` (exported
 here under its division name `CakeSession`); `DensityBackend` answers them
 from actual densities.
 
-Answers are exact but cost one `Fraction` each. A `PiecewiseDensity` keeps
+Answers are exact and cost no `Fraction`. A `PiecewiseDensity` keeps
 integer images of itself next to its public `Fraction` fields: breakpoints
 and prefix masses over common denominators, and two integer constants per
-segment. It validates on those integers, and `cut` and `prefix` are one
-bisect, a few integer products and a single `Fraction(num, den)`.
-`assign_subcakes` orders marks by float first and compares `Fraction`s
-only on float ties.
+segment. It validates on those integers, and a cut or an eval is one
+bisect and a few integer products giving a numerator and a denominator.
+`DensityBackend` answers a whole block that way into a `RationalAnswers`
+block; `cut` and `prefix` wrap the same pair in one `Fraction`.
+`run_proportional` reads the marks as integer pairs: `assign_subcakes`
+orders them by float first, settles float ties by cross-multiplication,
+and builds a `Fraction` only for each boundary it picks.
 """
 
 from bisect import bisect_left, bisect_right
@@ -27,9 +30,9 @@ from fractions import Fraction
 from math import lcm
 from numbers import Rational
 
-from .oracle import (MalformedQuery, ProductBatch, Session as CakeSession,
-                     blocks_of, query_at)
-from .util import ceil_kth_root, ceil_log2
+from .oracle import (MalformedQuery, ProductBatch, RationalAnswers,
+                     Session as CakeSession, blocks_of, pairs_of, query_at)
+from .util import ceil_kth_root, useful_rounds
 
 
 class MalformedAllocation(Exception):
@@ -38,8 +41,6 @@ class MalformedAllocation(Exception):
 
 CutQuery = namedtuple("CutQuery", ["agent", "alpha"])
 EvalQuery = namedtuple("EvalQuery", ["agent", "y"])
-
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -85,6 +86,26 @@ class PiecewiseDensity:
         if acc != mden:
             raise ValueError("total mass must be exactly 1, got %s"
                              % (Fraction(acc, mden),))
+        self._set_images(bpn, bden, hn, cumn, mden)
+
+    @classmethod
+    def _from_images(cls, breakpoints, heights, bpn, bden, hn, hden):
+        """A density its caller vouches for, built without a check:
+        `breakpoints` and `heights` are tuples of `Fraction`s that pass
+        every check of the constructor, and bpn[j]/bden and hn[j]/hden
+        equal breakpoint j and height j."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "breakpoints", breakpoints)
+        object.__setattr__(self, "heights", heights)
+        acc = 0
+        cumn = [0]
+        for h, a, b in zip(hn, bpn, bpn[1:]):
+            acc += h * (b - a)
+            cumn.append(acc)
+        self._set_images(bpn, bden, hn, cumn, bden * hden)
+        return self
+
+    def _set_images(self, bpn, bden, hn, cumn, mden):
         # on segment j, cut(p/q) = (q*ks[j] + p*mden) / (q*ls[j]) and
         # prefix(p/q) = (p*ls[j] - q*ks[j]) / (q*mden)
         object.__setattr__(self, "_bpn", bpn)
@@ -94,16 +115,48 @@ class PiecewiseDensity:
         object.__setattr__(self, "_ks", [h * b - c for h, b, c in zip(hn, bpn, cumn)])
         object.__setattr__(self, "_ls", [bden * h for h in hn])
 
+    def _cuts(self, levels, nums, dens):
+        """Append cut(p/q) to nums and dens, as a numerator and a positive
+        denominator, for each (p, q) of levels, 0 <= p <= q."""
+        cumn, ks, ls, mden = self._cumn, self._ks, self._ls, self._mden
+        put_num, put_den = nums.append, dens.append
+        for p, q in levels:
+            if not p:
+                put_num(0)
+                put_den(1)
+                continue
+            pm = p * mden
+            # zero-height plateaus repeat in _cumn, so bisect_left lands on
+            # the first segment that actually gains mass, keeping the cut
+            # leftmost
+            i = bisect_left(cumn, -(-pm // q)) - 1
+            put_num(q * ks[i] + pm)
+            put_den(q * ls[i])
+
+    def _prefixes(self, levels, nums, dens):
+        """Append prefix(p/q) to nums and dens, as a numerator and a
+        positive denominator, for each (p, q) of levels, 0 <= p <= q."""
+        bpn, ks, ls, bden, mden = self._bpn, self._ks, self._ls, self._bden, self._mden
+        last = len(ls)
+        put_num, put_den = nums.append, dens.append
+        for p, q in levels:
+            i = bisect_right(bpn, p * bden // q) - 1
+            if i == last:
+                put_num(1)
+                put_den(1)
+            else:
+                put_num(p * ls[i] - q * ks[i])
+                put_den(q * mden)
+
     def prefix(self, y):
         if y.__class__ is not Fraction:
             y = Fraction(y)
         p, q = y.numerator, y.denominator
         if p < 0 or p > q:
             raise ValueError("point outside [0, 1]")
-        i = bisect_right(self._bpn, p * self._bden // q) - 1
-        if i == len(self._ls):
-            return _ONE
-        return Fraction(p * self._ls[i] - q * self._ks[i], q * self._mden)
+        nums, dens = [], []
+        self._prefixes(((p, q),), nums, dens)
+        return Fraction(nums[0], dens[0])
 
     def cut(self, alpha):
         """Leftmost y whose prefix value equals alpha."""
@@ -114,11 +167,9 @@ class PiecewiseDensity:
             if p:
                 raise ValueError("alpha outside [0, 1]")
             return self.breakpoints[0]
-        pm = p * self._mden
-        # zero-height plateaus repeat in _cumn, so bisect_left lands on the
-        # first segment that actually gains mass, keeping the cut leftmost
-        i = bisect_left(self._cumn, -(-pm // q)) - 1
-        return Fraction(q * self._ks[i] + pm, q * self._ls[i])
+        nums, dens = [], []
+        self._cuts(((p, q),), nums, dens)
+        return Fraction(nums[0], dens[0])
 
 
 @dataclass(frozen=True)
@@ -175,8 +226,12 @@ class DensityBackend:
         self.agents = tuple(agents)
 
     def answer_batch(self, batch):
-        """Answer one batch block by block: a cut block asks its agents'
-        `cut`, an eval block their `prefix`, at the block's levels.
+        """Answer one batch block by block into a `RationalAnswers` block:
+        a cut block asks its agents' `cut`, an eval block their `prefix`,
+        at the block's levels. A `PiecewiseDensity` answers from its
+        integer images with no `Fraction` made; any other density is asked
+        its own `cut` or `prefix`, and the result's numerator and
+        denominator are kept.
 
         A block's levels are checked once, each agent before its levels,
         and every agent is asked for the answers ahead of the first bad
@@ -184,11 +239,16 @@ class DensityBackend:
         """
         agents = self.agents
         n = len(agents)
-        out = []
+        nums = []
+        dens = []
         for kind, ids, xs in blocks_of(batch):
             if not ids or not xs:
                 continue
-            if kind is not CutQuery and kind is not EvalQuery:
+            if kind is CutQuery:
+                name, images = "cut", PiecewiseDensity._cuts
+            elif kind is EvalQuery:
+                name, images = "prefix", PiecewiseDensity._prefixes
+            else:
                 raise MalformedQuery("unknown division query: %r"
                                      % (query_at(kind, ids[0], xs[0]),))
             good = 0  # levels ahead of the first bad one
@@ -197,17 +257,22 @@ class DensityBackend:
                         or not 0 <= x.numerator <= x.denominator):
                     break
                 good += 1
+            ok = xs[:good]
+            levels = [(x.numerator, x.denominator) for x in ok]
             for agent in ids:
                 check_agent(agent, n)
                 density = agents[agent - 1]
-                answer = density.cut if kind is CutQuery else density.prefix
+                if density.__class__ is PiecewiseDensity:
+                    images(density, levels, nums, dens)
+                else:
+                    for y in map(getattr(density, name), ok):
+                        nums.append(y.numerator)
+                        dens.append(y.denominator)
                 if good < len(xs):
-                    out.extend(map(answer, xs[:good]))
                     raise MalformedQuery("%s is not a rational in [0, 1]: %r" % (
                         "cut argument" if kind is CutQuery else "eval point",
                         xs[good]))
-                out.extend(map(answer, xs))
-        return out
+        return RationalAnswers(nums, dens)
 
 
 def group_sizes(m, z):
@@ -216,36 +281,64 @@ def group_sizes(m, z):
     return [base + 1] * extra + [base] * (z - extra)
 
 
-def assign_subcakes(marks, targets):
+def assign_subcakes(rows, nums, dens, targets):
     """Split agents into groups of the given sizes at mark order statistics.
 
-    marks maps each agent to her cut points for the round (entry j is her
-    candidate boundary after group j). Group j takes the targets[j] agents
-    with the smallest j-th marks, ties to the lower agent id; the boundary
-    is the largest mark taken. Returns (cut points, agent groups).
+    rows maps each agent to where her marks start in nums and dens: her
+    candidate boundary after group j is nums[row + j] / dens[row + j]
+    (denominators positive, pairs not necessarily in lowest terms). Group j takes
+    the targets[j] agents with the smallest j-th marks, ties to the lower
+    agent id; the boundary is the largest mark taken. Returns (cut points
+    as `Fraction`s, agent groups).
     """
-    assert sum(targets) == len(marks)
-    unassigned = sorted(marks)
+    assert sum(targets) == len(rows)
+    unassigned = sorted(rows.items())  # (agent, row) pairs
     cuts = []
     groups = []
     for j, want in enumerate(targets[:-1]):
-        # floats lead each key: rounding to nearest is monotone, so the float
-        # can never invert an exact order, only tie -- and ties fall through
-        # to the exact mark, then to the agent id
-        keyed = [(x.numerator / x.denominator, x, agent)
-                 for agent in unassigned for x in (marks[agent][j],)]
+        # floats lead: int / int rounds the exact quotient to nearest, which
+        # is monotone, so a float can never invert an exact order, only tie
+        # -- and a tie falls through to the exact mark, then to the agent id
+        col = [nums[r + j] / dens[r + j] for _, r in unassigned]
         if want == 1:
-            _, cut, agent = min(keyed)
-            unassigned.remove(agent)
-            cuts.append(cut)
+            low = min(col)
+            at = col.index(low)
+            if col.count(low) > 1:
+                at = _exact_order([i for i, x in enumerate(col) if x == low],
+                                  unassigned, nums, dens, j)[0]
+            agent, r = unassigned.pop(at)
             groups.append([agent])
-            continue
-        keyed.sort()
-        cuts.append(keyed[want - 1][1])
-        groups.append(sorted(agent for _, _, agent in keyed[:want]))
-        unassigned = [agent for _, _, agent in keyed[want:]]
-    groups.append(sorted(unassigned))
+        else:
+            order = sorted(range(len(col)), key=col.__getitem__)
+            # only the float tie around the last agent taken can change who
+            # is taken or which mark is the boundary
+            edge = col[order[want - 1]]
+            lo, hi = want - 1, want
+            while lo and col[order[lo - 1]] == edge:
+                lo -= 1
+            while hi < len(order) and col[order[hi]] == edge:
+                hi += 1
+            if hi - lo > 1:
+                order[lo:hi] = _exact_order(order[lo:hi], unassigned, nums, dens, j)
+            agent, r = unassigned[order[want - 1]]
+            groups.append(sorted(unassigned[i][0] for i in order[:want]))
+            unassigned = [unassigned[i] for i in order[want:]]
+        cuts.append(Fraction(nums[r + j], dens[r + j]))
+    groups.append(sorted(agent for agent, _ in unassigned))
     return cuts, groups
+
+
+def _exact_order(tie, entries, nums, dens, j):
+    """The positions `tie` of (agent, row) entries whose j-th marks round to
+    the same float, by exact mark and then agent id. Marks that are equal
+    (by cross-multiplication) are ordered by agent id alone; only marks
+    that differ become `Fraction`s."""
+    marks = [(nums[entries[i][1] + j], dens[entries[i][1] + j]) for i in tie]
+    p, q = marks[0]
+    if all(a * q == p * b for a, b in marks):
+        return sorted(tie, key=lambda i: entries[i][0])
+    exact = {i: Fraction(a, b) for i, (a, b) in zip(tie, marks)}
+    return sorted(tie, key=lambda i: (exact[i], entries[i][0]))
 
 
 def run_proportional(session, n, k):
@@ -258,7 +351,7 @@ def run_proportional(session, n, k):
         raise ValueError("need n >= 1 and k >= 1")
     # every round at least halves each group, so rounds past ceil(log2 n)
     # change no split; the clamp keeps n ** (k - round_no) small
-    k = min(k, max(1, ceil_log2(n)))
+    k = useful_rounds(n, k)
     # one tuple per group: (agents, lo, region_lo, region_hi); its members
     # mark values between lo/n and (lo + len(agents))/n
     groups = [(tuple(range(1, n + 1)), 0, Fraction(0), Fraction(1))]
@@ -281,7 +374,7 @@ def run_proportional(session, n, k):
             blocks.append((agents, alphas))
         if not blocks:
             break  # every group is a singleton already
-        answers = session.submit_round(ProductBatch(CutQuery, blocks))
+        nums, dens = pairs_of(session.submit_round(ProductBatch(CutQuery, blocks)))
         pos = 0
         next_groups = []
         for agents, lo, rlo, rhi, sizes, alphas in plans:
@@ -289,11 +382,9 @@ def run_proportional(session, n, k):
                 next_groups.append((agents, lo, rlo, rhi))
                 continue
             width = len(alphas)
-            marks = {}
-            for agent in agents:
-                marks[agent] = answers[pos:pos + width]
-                pos += width
-            cuts, subgroups = assign_subcakes(marks, sizes)
+            rows = {agent: pos + r * width for r, agent in enumerate(agents)}
+            pos += width * len(agents)
+            cuts, subgroups = assign_subcakes(rows, nums, dens, sizes)
             assert all(x <= y for x, y in zip(cuts, cuts[1:]))
             edges = [rlo] + cuts + [rhi]
             for gi, sub in enumerate(subgroups):
@@ -366,8 +457,11 @@ def random_density(rng, max_pieces=4, denom=24):
     if sum(weights) == 0:
         weights[rng.randrange(m)] = 1
     total = sum(weights)
-    # weight w over [a/denom, b/denom] is height (w/total) / ((b - a)/denom)
-    heights = [Fraction(w * denom, total * (b - a))
-               for w, a, b in zip(weights, edges, edges[1:])]
-    return PiecewiseDensity(breakpoints=tuple(Fraction(c, denom) for c in edges),
-                            heights=tuple(heights))
+    # weight w over [a/denom, b/denom] is height (w/total) / ((b - a)/denom);
+    # the edges are the breakpoints' integer images over denom
+    heights = tuple(Fraction(w * denom, total * (b - a))
+                    for w, a, b in zip(weights, edges, edges[1:]))
+    hden = lcm(*[h.denominator for h in heights])
+    return PiecewiseDensity._from_images(
+        tuple(Fraction(c, denom) for c in edges), heights, edges, denom,
+        [h.numerator * (hden // h.denominator) for h in heights], hden)

@@ -17,7 +17,7 @@ from . import reductions
 from . import select as select_mod
 from .oracle import HiddenInstance, Session, open_session, random_instance
 from .rank_sort import forced_query_count, sort_rank, sorting_lower_bound
-from .util import ceil_div, ceil_kth_root, root_multiple_exceeds
+from .util import ceil_div, ceil_kth_root, root_multiple_exceeds, useful_rounds
 
 DEFAULT_BUDGET = 10 ** 7
 BUDGET_ENV = "ROUNDS_LAB_BUDGET"
@@ -278,11 +278,12 @@ def _run_sort(cfg):
     if cfg.mode == "mc":
         # a trial asks at most 2k*n**(1+1/k) queries and so does the forced
         # count, except that at k = 1 its opponent scans all n(n - 1) probes
-        # at each of n carve steps
-        if k == 1:
+        # at each of n carve steps; rounds past log2 n ask nothing more
+        kk = useful_rounds(n, k)
+        if kk == 1:
             _refuse_over_budget("sort", 2 * n, n, 1, extra=n ** 3)
         else:
-            _refuse_over_budget("sort", 4 * k * n, n, k)
+            _refuse_over_budget("sort", 4 * kk * n, n, kk)
     b = bounds(n, k, cfg.p)
     cap = _sort_cap(n, k)
     if cfg.mode == "exact":
@@ -345,8 +346,10 @@ def _run_cake(cfg, fixed_agents=None):
 def _run_reduce(cfg):
     n, k = cfg.n, cfg.k
     if cfg.mode == "mc":
-        # the division queries of one trial: cake_query_cap
-        _refuse_over_budget("reduce", k * n, n, k, extra=k * n)
+        # the division queries of one trial: cake_query_cap, at the rounds
+        # run_proportional uses
+        kk = useful_rounds(n, k)
+        _refuse_over_budget("reduce", kk * n, n, kk, extra=kk * n)
     b = bounds(n, k, cfg.p)
     if cfg.mode == "exact":
         est = math.factorial(n) * n * n

@@ -14,7 +14,7 @@ from functools import cached_property
 from math import ceil
 
 from .oracle import EQUAL, LESS, TARGET, ProductBatch, RankQuery
-from .util import bernoulli, ceil_kth_root, ceil_log2, normalized_weights
+from .util import bernoulli, ceil_kth_root, normalized_weights, useful_rounds
 
 
 @dataclass(frozen=True)
@@ -90,7 +90,7 @@ def _locate_sorted(session, n, k, cands):
     if k < 1:
         raise ValueError("k must be at least 1")
     lo, hi = 1, n  # the promise pins the rank to [1, n]
-    rounds_left = min(k, max(1, ceil_log2(len(cands))))
+    rounds_left = useful_rounds(len(cands), k)
     narrowed = lo > cands[0] or hi < cands[-1]
     while True:
         if narrowed:

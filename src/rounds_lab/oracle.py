@@ -21,11 +21,19 @@ backend reads a batch one way, as the (kind, items, levels) blocks that
 `blocks_of` returns, in one loop: a flat batch is one 1 × 1 block per
 query. A malformed block raises what its first malformed query raises
 when the same queries are checked one at a time, item-major.
+
+Answers are a list of whatever the backend computes, or, from the two
+division backends, a `RationalAnswers` block: the batch's rational answers
+as integer numerator and denominator lists. The session keeps and returns
+such a block as it is, so a round costs no `Fraction` per answer until a
+`Fraction` is read from it; algorithms read rational answers as integer
+pairs through `pairs_of`, whichever form they come in.
 """
 
 from bisect import bisect_left
 from collections import namedtuple
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property, partial
 from itertools import chain, product
 from operator import eq
@@ -121,6 +129,66 @@ def blocks_of(batch):
 def query_at(kind, item, level):
     """The query a (kind, items, levels) block asks of item at level."""
     return item if kind is NotAPair else tuple.__new__(kind, (item, level))
+
+
+class RationalAnswers:
+    """One batch's rational answers, kept as integer pairs.
+
+    Answer j is nums[j] / dens[j], with dens[j] positive and the pair not
+    necessarily in lowest terms. Iterating or indexing yields the answers
+    as normalised `Fraction`s, built on the first such read and kept; the
+    integer lists are dropped then, so a block holds one form at a time.
+    It compares equal to the tuple, and to the list, of those `Fraction`s
+    and hashes like the tuple. The caller hands its lists over: nothing
+    changes them afterwards.
+    """
+
+    __slots__ = ("_nums", "_dens", "_fractions", "_size")
+
+    def __init__(self, nums, dens):
+        self._nums = nums
+        self._dens = dens
+        self._fractions = None
+        self._size = len(nums)
+
+    def fractions(self):
+        """The answers as a tuple of normalised `Fraction`s."""
+        fractions = self._fractions
+        if fractions is None:
+            fractions = self._fractions = tuple(map(Fraction, self._nums, self._dens))
+            self._nums = self._dens = None
+        return fractions
+
+    def __len__(self):
+        return self._size
+
+    def __iter__(self):
+        return iter(self.fractions())
+
+    def __getitem__(self, index):
+        return self.fractions()[index]
+
+    def __eq__(self, other):
+        if other.__class__ is RationalAnswers:
+            return self is other or self.fractions() == other.fractions()
+        if isinstance(other, (tuple, list)):
+            return self._size == len(other) and self.fractions() == tuple(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.fractions())
+
+    def __repr__(self):
+        return "RationalAnswers(%r)" % (self.fractions(),)
+
+
+def pairs_of(answers):
+    """(numerators, denominators) of a batch's rational answers: the lists
+    a `RationalAnswers` block still holds, else those of each answer in
+    turn. Callers must not change the lists."""
+    if answers.__class__ is RationalAnswers and answers._nums is not None:
+        return answers._nums, answers._dens
+    return [a.numerator for a in answers], [a.denominator for a in answers]
 
 
 def compare(a, b):
@@ -268,15 +336,16 @@ class RoundTranscript:
 
     It keeps the session's own (queries, answers) pairs, one per batch, so
     taking it costs O(k) and it does not grow with later rounds. The
-    per-query (query, answer) pairs, and the queries of a `ProductBatch`,
-    are built on the first read of `rounds`; `round_sizes` and
-    `total_queries` never build them. Equality and hash go by the batches,
-    which is the same as going by `rounds`, since a `ProductBatch` compares
-    and hashes like the tuple of its queries.
+    per-query (query, answer) pairs, the queries of a `ProductBatch` and
+    the `Fraction`s of a `RationalAnswers` block are built on the first
+    read of `rounds`; `round_sizes` and `total_queries` never build them.
+    Equality and hash go by the batches, which is the same as going by
+    `rounds`, since a `ProductBatch` compares and hashes like the tuple of
+    its queries and a `RationalAnswers` block like that of its answers.
     """
 
-    # one (queries, answers tuple) pair per round; queries is a tuple or a
-    # ProductBatch
+    # one (queries, answers) pair per round; queries is a tuple or a
+    # ProductBatch, answers a tuple or a RationalAnswers block
     batches: tuple
     k_limit: int
 
@@ -306,7 +375,7 @@ class Session:
             raise ValueError("k_limit must be at least 1")
         self.backend = backend
         self.k_limit = k_limit
-        self._batches = []  # (queries tuple, answers tuple) per round
+        self._batches = []  # (queries, answers) per round, as in RoundTranscript
         self._total = 0
 
     @property
@@ -326,20 +395,25 @@ class Session:
 
         `queries` is an iterable of queries, copied into a tuple, or a
         `ProductBatch`, which is immutable and kept as it is. Either way
-        the transcript records the queries in iteration order.
+        the transcript records the queries in iteration order. The answers
+        come back as a list, or as the backend's `RationalAnswers` block,
+        which is immutable and kept and returned as it is.
         """
         if len(self._batches) >= self.k_limit:
             raise RoundLimitExceeded(
                 "already used %d of %d rounds" % (len(self._batches), self.k_limit))
         if queries.__class__ is not ProductBatch:
             queries = tuple(queries)
-        answers = tuple(self.backend.answer_batch(queries))
+        answers = self.backend.answer_batch(queries)
+        block = answers.__class__ is RationalAnswers
+        if not block:
+            answers = tuple(answers)
         if len(answers) != len(queries):
             raise ValueError("the backend gave %d answers to %d queries"
                              % (len(answers), len(queries)))
         self._batches.append((queries, answers))
         self._total += len(queries)
-        return list(answers)
+        return answers if block else list(answers)
 
     def transcript(self):
         return RoundTranscript(batches=tuple(self._batches),

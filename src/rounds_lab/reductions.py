@@ -17,7 +17,8 @@ The adversary works on integer images of its grids. Grid point (i, c)
 is one integer over a common denominator (`AdversaryCakeInstance.istep`,
 `cstep` and `den`). A cut argument maps to its grid by a divisibility test,
 `points` is keyed by those integers, and an eval compares them. Each answer
-costs O(1) integer work and at most one `Fraction`.
+costs O(1) integer work and no `Fraction`: a batch is answered as one
+`RationalAnswers` block of numerators and denominators.
 
 `run_reduction` checks the final allocation without building any density.
 Each inner slice boundary must be a grid point, and each owner's value of
@@ -34,8 +35,8 @@ from operator import itemgetter
 
 from .cake import CutQuery, EvalQuery, check_agent, check_allocation
 from .oracle import (LESS, GREATER, ComparisonQuery, MalformedQuery,
-                     ProductBatch, RankQuery, Session, TARGET, blocks_of, compare,
-                     flip, is_identity, query_at)
+                     ProductBatch, RankQuery, RationalAnswers, Session, TARGET,
+                     blocks_of, compare, flip, is_identity, query_at)
 
 
 _ZERO = Fraction(0)
@@ -227,9 +228,9 @@ class AdversaryCakeBackend:
         inst = self.inst
         n = inst.n
         slots = inst.slots
-        # per query: (grid i, (agent, i), eval point over den or None), or
-        # (0, None, answer)
-        grids = []
+        # per block: (agents, levels), a level being (grid i, eval point over
+        # den or None), or (0, answer) at 0 and 1
+        plan = []
         new = {}  # (agent, i) pairs to probe, in order of first appearance
         for kind, agents, xs in blocks_of(batch):
             if not agents or not xs:
@@ -244,16 +245,14 @@ class AdversaryCakeBackend:
             # the first agent is judged before the levels, each level once
             check_agent(agents[0], n)
             levels = [level(x) for x in xs]
+            grids = [i for i, _ in levels if i]
             for agent in agents:
                 check_agent(agent, n)
-                for i, point in levels:
-                    if not i:
-                        grids.append((0, None, point))
-                        continue
+                for i in grids:
                     key = (agent, i)
-                    grids.append((i, key, point))
                     if key not in slots:
                         new[key] = None
+            plan.append((agents, levels))
         # one block per run of probes on the same agent
         relations = self.rank_session.submit_round(ProductBatch(RankQuery, [
             ((agent,), [i for _, i in run]) for agent, run in groupby(new, itemgetter(0))]))
@@ -261,22 +260,27 @@ class AdversaryCakeBackend:
         for (agent, i), relation in zip(new, relations):
             pin(agent, i, relation)
         istep, cstep, den = inst.istep, inst.cstep, inst.den
-        out = []
-        append = out.append
-        for i, key, point in grids:
-            if not i:
-                append(point)
-                continue
-            own = i * istep + slots[key] * cstep
-            if point is None:
-                append(Fraction(own, den))
-            elif own == point:
-                append(Fraction(i, n))
-            elif own > point:
-                append(Fraction(i, n + 1))
-            else:
-                append(Fraction(i + 1, n + 1))
-        return out
+        nums = []
+        dens = []
+        put_num, put_den = nums.append, dens.append
+        for agents, levels in plan:
+            for agent in agents:
+                for i, point in levels:
+                    if not i:
+                        put_num(point.numerator)
+                        put_den(point.denominator)
+                        continue
+                    own = i * istep + slots[agent, i] * cstep
+                    if point is None:
+                        put_num(own)
+                        put_den(den)
+                    elif own == point:
+                        put_num(i)
+                        put_den(n)
+                    else:
+                        put_num(i if own > point else i + 1)
+                        put_den(n + 1)
+        return RationalAnswers(nums, dens)
 
 
 def _unrequested_slot(inst, agent, i):

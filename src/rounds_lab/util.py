@@ -81,6 +81,13 @@ def ceil_log2(n):
     return (n - 1).bit_length()
 
 
+def useful_rounds(n, k):
+    """k clamped to max(1, ceil(log2 n)): a search or split that at least
+    halves what is left in each round needs no more rounds than that, so a
+    larger budget asks the same queries."""
+    return min(k, max(1, ceil_log2(n)))
+
+
 def bernoulli(p, rng):
     """True with probability p; exact for any rational p in [0, 1].
 

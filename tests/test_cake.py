@@ -10,6 +10,7 @@ from rounds_lab.cake import (Allocation, CakeSession, CutQuery, DensityBackend,
                              parse_cake_file, proportional_protocol,
                              random_density, verify_proportional)
 from rounds_lab.oracle import MalformedQuery, RankQuery
+from conftest import mark_rows
 
 UNIFORM = PiecewiseDensity((0, 1), (1,))
 
@@ -104,7 +105,7 @@ def test_group_sizes():
 
 def test_assign_subcakes_order_statistics():
     marks = {1: [F("1/2")], 2: [F("1/4")], 3: [F("3/4")], 4: [F("1/4")]}
-    cuts, groups = assign_subcakes(marks, [2, 2])
+    cuts, groups = assign_subcakes(*mark_rows(marks), [2, 2])
     assert cuts == [F("1/4")]  # ties break toward the lower agent id
     assert groups == [[2, 4], [1, 3]]
 

@@ -132,6 +132,9 @@ def test_sampled_runs_over_the_budget_are_refused(capsys):
     ("locate", "--n", "5", "--k", str(10 ** 12)),
     ("reduce", "--n", "4", "--k", "1000000"),
     ("cake", "--n", "4", "--k", "100000000", "--mode", "mc", "--trials", "1"),
+    # the sampled budget guards clamp k to ceil(log2 n) as the runs do
+    ("sort", "--n", "5", "--k", str(10 ** 12), "--mode", "mc", "--trials", "1"),
+    ("reduce", "--n", "5", "--k", str(10 ** 12), "--mode", "mc", "--trials", "1"),
 ])
 def test_huge_round_budgets_finish_fast(argv):
     """A round budget far past ceil(log2 n) changes no split, and must not
@@ -149,6 +152,9 @@ def test_huge_round_budgets_finish_fast(argv):
     ("sort", 10, 1, 2 * 10 ** 2 + 10 ** 3),   # trial cap, then the k = 1 opponent
     ("sort", 16, 2, 2 * (2 * 2 * 16 * 4)),    # trial cap and forced count
     ("reduce", 16, 2, 2 * 16 * 4 + 2 * 16),   # k*n**(1+1/k) + k*n
+    # past ceil(log2 16) = 4 rounds, the caps of k = 4
+    ("sort", 16, 10 ** 12, 2 * (2 * 4 * 16 * 2)),
+    ("reduce", 16, 10 ** 12, 4 * 16 * 2 + 4 * 16),
 ])
 def test_budget_guards_one_sampled_trial(capsys, monkeypatch, problem, n, k, cap):
     argv = (problem, "--n", str(n), "--k", str(k), "--mode", "mc")

@@ -1,5 +1,7 @@
 """Differential checks of the division layer's integer images against the
-plain-Fraction formulas they replaced, which are kept here as references.
+plain-Fraction formulas they replaced, which are kept here as references,
+and of the integer pairs the backend answers against the densities' own
+`cut` and `prefix`.
 
 Needs neither pytest nor hypothesis, so it also runs as a script:
 
@@ -10,9 +12,12 @@ import random
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
-from rounds_lab.cake import (PiecewiseDensity, assign_subcakes,
-                             random_density)
+from rounds_lab.cake import (CutQuery, DensityBackend, EvalQuery,
+                             PiecewiseDensity, assign_subcakes,
+                             parse_cake_file, random_density)
+from rounds_lab.oracle import MalformedQuery, ProductBatch, pairs_of
 from rounds_lab.reductions import AdversaryCakeInstance
+from conftest import mark_rows
 
 
 def reference_cum(breakpoints, heights):
@@ -209,8 +214,107 @@ def test_assign_subcakes_matches_reference_sort():
         targets = [b - a - 1 for a, b in zip([0] + cuts, cuts + [m + parts])]
         if any(t < 1 for t in targets[:-1]):
             continue
-        assert assign_subcakes(marks, targets) == \
-            reference_assign_subcakes(marks, targets), (marks, targets)
+        want = reference_assign_subcakes(marks, targets)
+        # the marks as reduced pairs, then each pair scaled by its own
+        # factor, some past a float's 53 bits
+        for scale in (lambda: 1, lambda: rng.choice((2, 3, 10 ** 6, 2 ** 70 + 1))):
+            got = assign_subcakes(*mark_rows(marks, scale), targets)
+            assert got == want, (marks, targets)
+            assert all(cut.__class__ is Fraction for cut in got[0])
+
+
+def _cake_file_densities():
+    """Cake-file agents with large and coprime denominators and zero-height
+    plateaus, read as `--cake-file` reads them."""
+    F = Fraction
+    p, q = 10 ** 9 + 7, 998244353
+    lines = [
+        (0, p, F(1, p), 0, 1),
+        (0, 0, F(q - 1, q), q, 1),
+        (0, F(1, 2), F(1, 3), 0, F(p - 1, p), F(5 * p, 6), 1),
+        (0, F(2 * q, 2 * q - 1), F(1, 2), F(2 * q - 2, 2 * q - 1), 1),
+    ]
+    return parse_cake_file("\n".join(" ".join(map(str, line)) for line in lines))
+
+
+def _pairs_match(kind, densities, xs, ask):
+    """Ask DensityBackend one block of all agents at xs; every pair must
+    equal ask(density, x) as a Fraction, with a positive denominator."""
+    got = DensityBackend(densities).answer_batch(
+        ProductBatch(kind, [(range(1, len(densities) + 1), xs)]))
+    nums, dens = pairs_of(got)
+    want = [ask(d, x) for d in densities for x in xs]
+    assert len(nums) == len(dens) == len(want)
+    for a, b, w in zip(nums, dens, want):
+        assert a.__class__ is int and b.__class__ is int and b > 0
+        assert Fraction(a, b) == w, (a, b, w)
+    assert got == want  # and the block reads as those Fractions
+
+
+def test_backend_pairs_match_cut_and_prefix():
+    """Over sampled densities, cake-file densities and the plateau cases,
+    cut blocks at every prefix mass, at 0 and 1 (as ints and Fractions) and
+    between, and eval blocks at every breakpoint and between."""
+    for d in _densities() + _cake_file_densities():
+        ys, alphas = _probes(d, reference_cum(d.breakpoints, d.heights))
+        ends = [0, 1, Fraction(0), Fraction(1), True]
+        _pairs_match(CutQuery, [d, d], alphas + ends, PiecewiseDensity.cut)
+        _pairs_match(EvalQuery, [d, d], ys + list(d.breakpoints) + ends,
+                     PiecewiseDensity.prefix)
+
+
+class Logged:
+    """A density that is not a `PiecewiseDensity`: it forwards `cut` and
+    `prefix` and logs every call."""
+
+    def __init__(self, density, agent, log):
+        self._density = density
+        self._agent = agent
+        self._log = log
+
+    def cut(self, alpha):
+        self._log.append((self._agent, "cut", alpha))
+        return self._density.cut(alpha)
+
+    def prefix(self, y):
+        self._log.append((self._agent, "prefix", y))
+        return self._density.prefix(y)
+
+
+def _answer(densities, batch):
+    try:
+        return DensityBackend(densities).answer_batch(batch)
+    except MalformedQuery as exc:
+        return str(exc)
+
+
+def test_wrapped_densities_answer_alike_and_are_asked_alike():
+    """A wrapper takes the generic path: its answers equal the integer
+    path's, and it is asked exactly the calls ahead of the first malformed
+    query, item-major, as a flat batch of the same queries is asked."""
+    rng = random.Random(5)
+    densities = [random_density(rng) for _ in range(4)] + _cake_file_densities()
+    n = len(densities)
+    levels = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1), 1, 0]
+    bad_levels = [Fraction(3, 2), Fraction(-1, 5), 0.5, None]
+    for trial in range(300):
+        kind = rng.choice((CutQuery, EvalQuery))
+        ids = rng.sample(range(1, n + 1), rng.randint(1, n))
+        xs = [rng.choice(levels) for _ in range(rng.randint(1, 4))]
+        if trial % 3 == 1:
+            xs.insert(rng.randrange(len(xs) + 1), rng.choice(bad_levels))
+        if trial % 3 == 2:
+            ids.insert(rng.randrange(len(ids) + 1), rng.choice((0, n + 1, True)))
+        batch = ProductBatch(kind, [(ids, xs)])
+        flat = list(batch)
+        plain = _answer(densities, batch)
+        logs = []
+        for b in (batch, flat):
+            log = []
+            wrapped = [Logged(d, a, log) for a, d in enumerate(densities, start=1)]
+            assert _answer(wrapped, b) == plain, (ids, xs)
+            logs.append(log)
+        assert logs[0] == logs[1], (ids, xs)
 
 
 def test_grid_points_are_integer_images():

@@ -6,11 +6,13 @@ from hypothesis import given, strategies as st
 
 from rounds_lab.cake import CutQuery, DensityBackend, EvalQuery, PiecewiseDensity
 from rounds_lab.oracle import (EQUAL, GREATER, LESS, TARGET, ComparisonQuery,
-                               HiddenInstance, MalformedQuery, RankQuery,
-                               RoundLimitExceeded, Session, answers_consistent,
-                               compare, flip, open_session, random_instance)
+                               HiddenInstance, MalformedQuery, ProductBatch,
+                               RankQuery, RationalAnswers, RoundLimitExceeded,
+                               RoundTranscript, Session, answers_consistent, compare, flip,
+                               open_session, pairs_of, random_instance)
 from rounds_lab.rank_sort import new_adversary
-from rounds_lab.reductions import LocateComparisonBackend, SelectComparisonBackend
+from rounds_lab.reductions import (AdversaryCakeBackend, LocateComparisonBackend,
+                                   SelectComparisonBackend)
 from conftest import session_for, shuffled_ranks, sorted_instance
 
 perms = st.permutations(list(range(1, 7)))
@@ -211,3 +213,54 @@ def test_session_refuses_a_backend_that_miscounts_its_answers():
     with pytest.raises(ValueError):
         sess.submit_round([RankQuery(1, 1), RankQuery(2, 1)])
     assert sess.rounds_used == 0 and sess.total_queries == 0
+
+
+def test_rational_answers_read_like_the_tuple_of_their_fractions():
+    F = Fraction
+    want = (F(1, 2), F(0), F(2, 1), F(1), F(-3, 4))
+    nums, dens = [2, 0, 6, 5, -6], [4, 7, 3, 5, 8]
+    block = RationalAnswers(nums, dens)
+    assert len(block) == 5
+    assert pairs_of(block) == (nums, dens)  # the lists as handed over
+    assert block == want and want == block
+    assert block == list(want) and list(want) == block
+    assert not block != want
+    assert hash(block) == hash(want)
+    assert block == RationalAnswers([1, 0, 2, 1, -3], [2, 1, 1, 1, 4])
+    assert block != want[:4] and block != list(want) + [F(1)]
+    assert block != want[::-1] and block != "12" and block != None  # noqa: E711
+    assert block[0] == F(1, 2) and block[-2:] == (F(1), F(-3, 4))
+    assert all(x.__class__ is Fraction for x in block)
+    assert [(x.numerator, x.denominator) for x in block] == [
+        (1, 2), (0, 1), (2, 1), (1, 1), (-3, 4)]
+    fractions = block.fractions()  # built once, then kept
+    assert block.fractions() is fractions
+    assert all(a is b for a, b in zip(block, fractions))
+    assert repr(block) == "RationalAnswers(%r)" % (want,)
+    # once the Fractions exist the pairs come from them, in lowest terms
+    assert pairs_of(block) == ([1, 0, 2, 1, -3], [2, 1, 1, 1, 4])
+    assert pairs_of([F(2, 4), 3]) == ([1, 3], [2, 1])
+
+
+def test_division_sessions_keep_their_answer_blocks():
+    """Both division backends answer in a block that the session keeps and
+    returns as it is; the transcript reads it as Fractions, the same
+    objects on every read, and compares like a transcript of tuples."""
+    half = PiecewiseDensity((0, 1), (1,))
+    left = PiecewiseDensity((0, Fraction(1, 2), 1), (2, 0))
+    rank_sess = open_session(HiddenInstance((2, 3, 1)), 2)
+    for backend in (DensityBackend([half, left, half]),
+                    AdversaryCakeBackend(3, rank_sess)):
+        sess = Session(backend, 2)
+        batch = ProductBatch(CutQuery, [((1, 2, 3), (Fraction(1, 3), 0, 1))])
+        answers = sess.submit_round(batch)
+        assert answers.__class__ is RationalAnswers
+        first = sess.transcript()
+        assert first.batches[0][1] is answers
+        rounds = first.rounds
+        again = sess.transcript().rounds
+        assert rounds == again and rounds is not again
+        assert all(a is b for (_, a), (_, b) in zip(rounds[0], again[0]))
+        assert [a for _, a in rounds[0]] == list(answers)
+        plain = RoundTranscript(batches=((tuple(batch), tuple(answers)),), k_limit=2)
+        assert plain == first and hash(plain) == hash(first)

@@ -14,6 +14,8 @@ from rounds_lab.rank_sort import (AlgorithmIncorrect, InconsistentQuery,
                                   forced_query_count, new_adversary,
                                   adversary_round, sort_rank,
                                   sorting_lower_bound)
+from rounds_lab.util import ceil_log2
+from conftest import shuffled_ranks
 
 
 def sort_cost(ranks, k):
@@ -462,3 +464,22 @@ def test_read_round_matches_reference_reading(blocks, rounds_left, data):
     assert _read_round(plan, answers, resolved) == reference_read(
         spans, queries, answers, ref_resolved)
     assert resolved == ref_resolved
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 9, 16, 17, 100])
+def test_rounds_past_log2_n_ask_the_same_queries(n):
+    """Every round at least halves each block, so past
+    k = max(1, ceil(log2 n)) a round budget changes no threshold: a huge
+    one asks the same counts in the same round sizes, which the sampled
+    budget guards rely on."""
+    least = max(1, ceil_log2(n))
+    txs = []
+    for k in (least, 10 ** 12):
+        sess = open_session(HiddenInstance(shuffled_ranks(n, n)), k)
+        assert sort_rank(sess, n, k) == shuffled_ranks(n, n)
+        txs.append(sess.transcript())
+    assert txs[0].total_queries == txs[1].total_queries
+    assert txs[0].round_sizes == txs[1].round_sizes
+    if n <= 17:
+        assert forced_query_count(sort_rank, n, least) == \
+            forced_query_count(sort_rank, n, 10 ** 12)
