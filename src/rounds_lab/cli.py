@@ -79,6 +79,10 @@ def main(argv=None):
         return 2
     if config.out is None:
         sys.stdout.write(text)
+    for row in report.rows:
+        for check in row.checks:
+            if not check.ok:
+                print("FAIL %s %s" % (row.problem, check), file=sys.stderr)
     return 0 if report.all_pass else 1
 
 

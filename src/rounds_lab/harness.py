@@ -9,13 +9,13 @@ import os
 import random
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from . import cake as cake_mod
 from . import locate as locate_mod
 from . import reductions
 from . import select as select_mod
-from .oracle import HiddenInstance, Session, open_session, random_instance
+from .oracle import HiddenInstance, Session, random_instance
 from .rank_sort import forced_query_count, sort_rank, sorting_lower_bound
 from .util import ceil_div, ceil_kth_root, root_multiple_exceeds, useful_rounds
 
@@ -46,24 +46,11 @@ def trial_rng(seed, trial):
 
 
 def exact_budget():
-    """Evaluation budget for exact enumeration; overridable by env var."""
-    raw = os.environ.get(BUDGET_ENV)
-    if raw is None:
-        return DEFAULT_BUDGET
-    value = int(raw)
+    """Query budget of one row, exact or sampled; overridable by env var."""
+    value = int(os.environ.get(BUDGET_ENV, DEFAULT_BUDGET))
     if value < 1:
         raise ValueError("%s must be a positive integer" % (BUDGET_ENV,))
     return value
-
-
-def _refuse_over_budget(problem, c, n, k, extra=0):
-    """Refuse a sampled run when one trial may cost c * n**(1/k) + extra
-    evaluations, more than the budget; decided in exact integers."""
-    budget = exact_budget()
-    if root_multiple_exceeds(c, n, k, budget - extra):
-        raise OverBudget("one sampled %s trial may need more than %d "
-                         "evaluations, the %s budget"
-                         % (problem, budget, BUDGET_ENV))
 
 
 def bounds(n, k, p):
@@ -94,6 +81,39 @@ def bounds(n, k, p):
 
 
 @dataclass(frozen=True)
+class Check:
+    """One named test of a row: a measured value against its bound, which
+    is a number or a (lo, hi) band."""
+
+    name: str
+    value: object
+    bound: object
+    ok: bool
+
+    def __str__(self):
+        b = self.bound
+        b = "[%s, %s]" % tuple(map(_cell, b)) if isinstance(b, tuple) else _cell(b)
+        return "%s: measured %s, bound %s" % (self.name, _cell(self.value), b)
+
+
+def _at_most(name, value, bound):
+    return Check(name, value, bound, value <= bound)
+
+
+def _at_least(name, value, bound):
+    return Check(name, value, bound, value >= bound)
+
+
+def _within(name, value, lo, hi):
+    return Check(name, value, (lo, hi), lo <= value <= hi)
+
+
+def _near(name, value, target, tol):
+    return Check(name, value, (target - tol, target + tol),
+                 abs(value - target) <= tol)
+
+
+@dataclass(frozen=True)
 class BoundRow:
     problem: str
     n: int
@@ -113,10 +133,11 @@ class BoundRow:
     thm4: float
     thm5: float
     passed: bool
+    checks: tuple = ()  # the Checks that decided `passed`; not a CSV column
 
 
-CSV_COLUMNS = tuple("pass" if f.name == "passed" else f.name
-                    for f in fields(BoundRow))
+_CSV_FIELDS = tuple(f.name for f in fields(BoundRow))[:-1]
+CSV_COLUMNS = tuple("pass" if name == "passed" else name for name in _CSV_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -159,13 +180,41 @@ class BoundReport:
         return all(r.passed for r in self.rows)
 
 
-def _row(cfg, b, mean_queries, ci95, success_rate, passed, problem=None,
-         p=None, trials=None):
+def _row(cfg, b, trials, mean_queries, ci95, success_rate, checks,
+         problem=None, p=None):
     return BoundRow(problem=problem or cfg.problem, n=cfg.n, k=cfg.k,
-                    p=cfg.p if p is None else p, mode=cfg.mode,
-                    trials=cfg.trials if trials is None else trials,
+                    p=cfg.p if p is None else p, mode=cfg.mode, trials=trials,
                     seed=cfg.seed, mean_queries=mean_queries, ci95=ci95,
-                    success_rate=success_rate, passed=passed, **b)
+                    success_rate=success_rate,
+                    passed=all(c.ok for c in checks), checks=checks, **b)
+
+
+def _guard(cfg, cost, kk=1, once=(0, 0), runs=()):
+    """The one budget rule; every problem but bounds and brute calls it
+    before any trial and before bounds().
+
+    A cost (c, d) stands for c * n**(1/kk) + d queries. An exact run
+    enumerates as many instances as the product of `runs` and is refused
+    with InfeasibleExact when they may ask more than the budget at
+    max(1, cost) each; a sampled run is refused with OverBudget when one
+    trial may. `once` is what the row spends once, in either mode. All is
+    decided in exact integers, and the product stops growing as soon as it
+    passes the budget, so n! is never built.
+    """
+    budget = exact_budget()
+    exact = cfg.mode == "exact"
+    count = 1
+    for factor in runs if exact else ():
+        count *= factor
+        if count > budget:
+            break
+    c, d = cost if any(cost) else (0, 1)
+    if count > budget or root_multiple_exceeds(
+            count * c + once[0], cfg.n, kk, budget - count * d - once[1]):
+        what = "exact %s runs" if exact else "one sampled %s trial"
+        raise (InfeasibleExact if exact else OverBudget)(
+            (what + " may need more than %d queries, the %s budget")
+            % (cfg.problem, budget, BUDGET_ENV))
 
 
 def _mean_ci(counts):
@@ -182,138 +231,147 @@ def _mean_ci(counts):
     return m, 1.96 * math.sqrt(var / len(counts))
 
 
-def _sem(p, trials):
-    return math.sqrt(float(p) * (1 - float(p)) / trials)
+def _measure(cfg, instances, trial, judge):
+    """The one trial loop. `trial(instance)` returns (queries, hit) for
+    each instance; `judge(b, max_queries, mean, ci95, rate)` returns the
+    row's success_rate and its checks. An exact row has exact means and
+    rates and no sampling error; a sampled one has float means and rates
+    and a ci95 radius."""
+    b = bounds(cfg.n, cfg.k, cfg.p)
+    counts = []
+    hits = 0
+    for instance in instances:
+        queries, hit = trial(instance)
+        counts.append(queries)
+        hits += hit
+    runs = len(counts)
+    if cfg.mode == "exact":
+        mean, ci, rate = Fraction(sum(counts), runs), 0.0, Fraction(hits, runs)
+    else:
+        (mean, ci), rate = _mean_ci(counts), hits / runs
+    success, checks = judge(b, max(counts), mean, ci, rate)
+    return [_row(cfg, b, runs, float(mean), ci, success, checks)]
+
+
+def _draws(cfg):
+    return (trial_rng(cfg.seed, t) for t in range(cfg.trials))
+
+
+def _permutations(cfg):
+    """Every permutation of 1..n in exact mode, else one draw per trial."""
+    if cfg.mode == "exact":
+        return itertools.permutations(range(1, cfg.n + 1))
+    return (random_instance(cfg.n, rng, with_target=False).ranks
+            for rng in _draws(cfg))
+
+
+def _sampled_rate(rate, p, trials):
+    sem = math.sqrt(float(p) * (1 - float(p)) / trials)
+    return _near("success_rate", rate, float(p), 3 * sem + 1e-9)
 
 
 def _run_locate(cfg):
     n, k, p = cfg.n, cfg.k, cfg.p
-    b = bounds(n, k, p)
+    exact = cfg.mode == "exact"
     subset = n if p == 1 else math.ceil(p * n)
-    cap = k * ceil_kth_root(subset, k)
+    kk = useful_rounds(n, k)
+    # a sampled trial searches all n candidates whenever its coin allows
+    searched = subset if exact else (n if p else 0)
+    _guard(cfg, (0, kk * ceil_kth_root(searched, kk)), runs=(n,))
     ranks = range(1, n + 1)  # the identity instance, built in O(1)
-    if cfg.mode == "exact":
-        if n > exact_budget():
-            raise InfeasibleExact("enumerating %d targets exceeds the budget" % (n,))
-        if p == 1:
-            def run(sess):
-                return locate_mod.locate_det(sess, n, k)
-        elif p == 0:
-            def run(sess):
-                # the ceil(0 * n) = 0 most probable ranks: nothing to ask
-                return None
-        else:
-            dist = locate_mod.RankDistribution((Fraction(1, n),) * n)
+    if not exact:
+        def trial(rng):
+            r = rng.randrange(1, n + 1)
+            sess = Session(HiddenInstance(ranks, target_index=r), k)
+            got = locate_mod.locate_rand(sess, n, k, p, rng)
+            return sess.total_queries, got == r
 
-            def run(sess):
-                return locate_mod.locate_det_dist(sess, n, k, p, dist)
-        counts = []
-        hits = 0
-        for r in range(1, n + 1):
-            sess = open_session(HiddenInstance(ranks, target_index=r), k)
-            got = run(sess)
-            counts.append(sess.total_queries)
-            if got == r:
-                hits += 1
-            elif got is not None:
-                raise AssertionError("reported a wrong rank")
-        succ = Fraction(hits, n)
-        ok = succ >= p and max(counts) <= cap
-        return [_row(cfg, b, float(Fraction(sum(counts), n)), 0.0,
-                     float(succ), ok, trials=n)]
-    counts = []
-    hits = 0
-    for t in range(cfg.trials):
-        rng = trial_rng(cfg.seed, t)
-        r = rng.randrange(1, n + 1)
-        sess = open_session(HiddenInstance(ranks, target_index=r), k)
-        got = locate_mod.locate_rand(sess, n, k, p, rng)
-        counts.append(sess.total_queries)
-        hits += got == r
-    m, ci = _mean_ci(counts)
-    succ = hits / cfg.trials
-    # the coin-gated search runs over all n candidates, so its expected
-    # cost is judged against thm3, randomized Locate (ordered search,
-    # element promise) = k*p*n**(1/k), not the subset cap
-    ok = (abs(succ - float(p)) <= 3 * _sem(p, cfg.trials) + 1e-9
-          and m <= b["thm3"] + 3 * ci / 1.96 + 1e-9)
-    return [_row(cfg, b, m, ci, succ, ok)]
+        def judge(b, top, mean, ci, rate):
+            # the coin-gated search runs over all n candidates, so its
+            # expected cost is judged against thm3, randomized Locate
+            # (ordered search, element promise) = k*p*n**(1/k), not the
+            # subset cap
+            return rate, (_sampled_rate(rate, p, cfg.trials),
+                          _at_most("mean_queries", mean,
+                                   b["thm3"] + 3 * ci / 1.96 + 1e-9))
+        return _measure(cfg, _draws(cfg), trial, judge)
+    # the ceil(p*n) most probable ranks of a uniform target, ties toward
+    # the smaller rank: locate_det_dist's candidates, without the weights
+    cands = range(1, subset + 1)
+
+    def trial(r):
+        sess = Session(HiddenInstance(ranks, target_index=r), k)
+        got = locate_mod.locate_det_subset(sess, n, k, cands) if subset else None
+        if got is not None and got != r:
+            raise AssertionError("reported a wrong rank")
+        return sess.total_queries, got == r
+
+    def judge(b, top, mean, ci, rate):
+        return float(rate), (_at_least("success_rate", rate, p),
+                             _at_most("max_queries", top,
+                                      k * ceil_kth_root(subset, k)))
+    return _measure(cfg, ranks, trial, judge)
 
 
 def _run_select(cfg):
     n, k, p = cfg.n, cfg.k, cfg.p
-    b = bounds(n, k, p)
-    if cfg.mode == "exact":
-        sched = select_mod.build_schedule(n, k, p)
-        ev = select_mod.exact_expected_queries(sched)
-        succ = Fraction(min(n, sum(sched.round_sizes) + 1), n)
-        ok = b["thm2_lo"] <= ev <= b["thm2_hi"] and succ >= p
-        return [_row(cfg, b, float(ev), 0.0, float(succ), ok, trials=1)]
+    exact = cfg.mode == "exact"
+    # an exact row is analytic and asks nothing; a sampled trial shuffles
+    # all n items unless its coin stops it. The schedule takes one step per
+    # round, and build_schedule refuses k > n before it takes any
+    _guard(cfg, (0, 0 if exact or not p else n), once=(0, min(k, n)))
+    if exact:
+        def trial(sched):
+            # one analytic run: the expected queries over a uniform target
+            # and the chance that the target is covered
+            covered = min(n, sum(sched.round_sizes) + 1)
+            return select_mod.exact_expected_queries(sched), Fraction(covered, n)
+
+        def judge(b, top, mean, ci, rate):
+            return float(rate), (
+                _within("mean_queries", mean, b["thm2_lo"], b["thm2_hi"]),
+                _at_least("success_rate", rate, p))
+        return _measure(cfg, (select_mod.build_schedule(n, k, p),), trial, judge)
     analytic = p * select_mod.exact_expected_queries(
         select_mod.build_schedule(n, k, Fraction(1)))
     target = n  # any fixed index; the shuffled order makes them all alike
-    counts = []
-    hits = 0
-    for t in range(cfg.trials):
-        rng = trial_rng(cfg.seed, t)
-        sess = open_session(HiddenInstance(range(1, n + 1),
-                                           target_index=target), k)
+    ranks = range(1, n + 1)
+
+    def trial(rng):
+        sess = Session(HiddenInstance(ranks, target_index=target), k)
         got = select_mod.select_rand(sess, n, k, p, rng)
-        counts.append(sess.total_queries)
-        hits += got == target
-    m, ci = _mean_ci(counts)
-    succ = hits / cfg.trials
-    ok = (b["thm1_lo"] <= analytic <= b["thm1_hi"]
-          and abs(m - float(analytic)) <= 3 * ci / 1.96 + 1e-9
-          and abs(succ - float(p)) <= 3 * _sem(p, cfg.trials) + 1e-9)
-    return [_row(cfg, b, m, ci, succ, ok)]
+        return sess.total_queries, got == target
 
-
-def _sort_cap(n, k):
-    return 2 * k * n ** (1 + 1 / k)
+    def judge(b, top, mean, ci, rate):
+        return rate, (
+            _within("expected_queries", analytic, b["thm1_lo"], b["thm1_hi"]),
+            _near("mean_queries", mean, float(analytic), 3 * ci / 1.96 + 1e-9),
+            _sampled_rate(rate, p, cfg.trials))
+    return _measure(cfg, _draws(cfg), trial, judge)
 
 
 def _run_sort(cfg):
     n, k = cfg.n, cfg.k
-    if cfg.mode == "mc":
-        # a trial asks at most 2k*n**(1+1/k) queries and so does the forced
-        # count, except that at k = 1 its opponent scans all n(n - 1) probes
-        # at each of n carve steps; rounds past log2 n ask nothing more
-        kk = useful_rounds(n, k)
-        if kk == 1:
-            _refuse_over_budget("sort", 2 * n, n, 1, extra=n ** 3)
-        else:
-            _refuse_over_budget("sort", 4 * kk * n, n, kk)
-    b = bounds(n, k, cfg.p)
-    cap = _sort_cap(n, k)
-    if cfg.mode == "exact":
-        est = math.factorial(n) * n * max(1, ceil_kth_root(n, k))
-        if est > exact_budget():
-            raise InfeasibleExact(
-                "about %d evaluations needed, over the budget" % (est,))
-        perms = itertools.permutations(range(1, n + 1))
-        trials = math.factorial(n)
-    else:
-        perms = (random_instance(n, trial_rng(cfg.seed, t),
-                                 with_target=False).ranks
-                 for t in range(cfg.trials))
-        trials = cfg.trials
-    counts = []
-    correct = True
-    for perm in perms:
-        inst = HiddenInstance(tuple(perm))
-        sess = open_session(inst, k)
+    # a run asks at most 2k*n**(1+1/k) queries and so does the forced
+    # count, except that at k = 1 its opponent scans all n(n - 1) probes
+    # at each of n carve steps; rounds past log2 n ask nothing more
+    kk = useful_rounds(n, k)
+    cap = (2 * kk * n, 0)
+    _guard(cfg, cap, kk, once=cap if kk > 1 else (0, n ** 3),
+           runs=range(2, n + 1))
+
+    def trial(perm):
+        sess = Session(HiddenInstance(perm), k)
         got = sort_rank(sess, n, k)
-        counts.append(sess.total_queries)
-        correct = correct and got == inst.ranks
-    forced = forced_query_count(sort_rank, n, k)
-    ok = correct and max(counts) <= cap and forced >= max(0.0, b["thm5"])
-    m, ci = _mean_ci(counts)
-    return [_row(cfg, b, m, ci, 1.0 if correct else 0.0, ok, trials=trials)]
+        return sess.total_queries, got == perm
 
-
-def cake_query_cap(n, k):
-    return k * n ** (1 + 1 / k) + k * n
+    def judge(b, top, mean, ci, rate):
+        forced = forced_query_count(sort_rank, n, k)
+        return float(rate == 1), (
+            _at_least("sorted", rate, 1),
+            _at_most("max_queries", top, 2 * k * n ** (1 + 1 / k)),
+            _at_least("forced_queries", forced, max(0.0, b["thm5"])))
+    return _measure(cfg, _permutations(cfg), trial, judge)
 
 
 def sample_cake_agents(cfg, trial):
@@ -323,67 +381,54 @@ def sample_cake_agents(cfg, trial):
 
 def _run_cake(cfg, fixed_agents=None):
     n, k = cfg.n, cfg.k
-    b = bounds(n, k, cfg.p)
     if cfg.mode == "exact" and fixed_agents is None:
         raise InfeasibleExact("division instances admit no finite enumeration")
-    trials = 1 if fixed_agents is not None else cfg.trials
-    counts = []
-    all_fair = True
-    for t in range(trials):
-        agents = fixed_agents if fixed_agents is not None else sample_cake_agents(cfg, t)
+    kk = useful_rounds(n, k)
+    _guard(cfg, (kk * n, kk * n), kk)
+    instances = ((fixed_agents,) if fixed_agents is not None else
+                 (sample_cake_agents(cfg, t) for t in range(cfg.trials)))
+
+    def trial(agents):
         if len(agents) != n:
             raise ValueError("instance has %d agents, expected %d" % (len(agents), n))
-        session = Session(cake_mod.DensityBackend(agents), k)
-        allocation = cake_mod.run_proportional(session, n, k)
-        counts.append(session.total_queries)
-        fair, _ = cake_mod.verify_proportional(allocation, agents)
-        all_fair = all_fair and fair
-    ok = all_fair and max(counts) <= cake_query_cap(n, k)
-    m, ci = _mean_ci(counts)
-    return [_row(cfg, b, m, ci, 1.0 if all_fair else 0.0, ok, trials=trials)]
+        allocation, tx = cake_mod.proportional_protocol(agents, k)
+        return tx.total_queries, cake_mod.verify_proportional(allocation, agents)[0]
+
+    def judge(b, top, mean, ci, rate):
+        return float(rate == 1), (
+            _at_least("proportional", rate, 1),
+            _at_most("max_queries", top, k * n ** (1 + 1 / k) + k * n))
+    return _measure(cfg, instances, trial, judge)
 
 
 def _run_reduce(cfg):
     n, k = cfg.n, cfg.k
-    if cfg.mode == "mc":
-        # the division queries of one trial: cake_query_cap, at the rounds
-        # run_proportional uses
-        kk = useful_rounds(n, k)
-        _refuse_over_budget("reduce", kk * n, n, kk, extra=kk * n)
-    b = bounds(n, k, cfg.p)
-    if cfg.mode == "exact":
-        est = math.factorial(n) * n * n
-        if est > exact_budget():
-            raise InfeasibleExact(
-                "about %d evaluations needed, over the budget" % (est,))
-        perms = [tuple(perm) for perm in itertools.permutations(range(1, n + 1))]
-    else:
-        perms = [random_instance(n, trial_rng(cfg.seed, t),
-                                 with_target=False).ranks
-                 for t in range(cfg.trials)]
-    counts = []
-    ok = True
-    for perm in perms:
-        rank_sess = open_session(HiddenInstance(perm), k)
-        got, rw_tr, _ = reductions.run_reduction(
-            lambda s, nn: cake_mod.run_proportional(s, nn, k), n, rank_sess)
-        rank_tr = rank_sess.transcript()
-        counts.append(rank_tr.total_queries)
-        ok = ok and got == perm
-        ok = ok and rank_tr.total_queries <= rw_tr.total_queries
-        rank_sizes, rw_sizes = rank_tr.round_sizes, rw_tr.round_sizes
-        ok = ok and len(rank_sizes) == len(rw_sizes)
-        ok = ok and all(a <= b for a, b in zip(rank_sizes, rw_sizes))
-    m, ci = _mean_ci(counts)
-    return [_row(cfg, b, m, ci, 1.0 if ok else 0.0, ok, trials=len(perms))]
+    # the division queries of one run: the cake row's cap, at the rounds
+    # run_proportional uses
+    kk = useful_rounds(n, k)
+    _guard(cfg, (kk * n, kk * n), kk, runs=range(2, n + 1))
+    protocol = partial(cake_mod.run_proportional, k=k)
+
+    def trial(perm):
+        rank_sess = Session(HiddenInstance(perm), k)
+        got, rw_tr, _ = reductions.run_reduction(protocol, n, rank_sess)
+        ranked, divided = rank_sess.transcript().round_sizes, rw_tr.round_sizes
+        # sorted, in the division run's rounds, none of them larger
+        return rank_sess.total_queries, (
+            got == perm and len(ranked) == len(divided)
+            and all(a <= b for a, b in zip(ranked, divided)))
+
+    def judge(b, top, mean, ci, rate):
+        return float(rate == 1), (_at_least("faithful", rate, 1),)
+    return _measure(cfg, _permutations(cfg), trial, judge)
 
 
 def _run_bounds(cfg):
     rows = []
     for j in range(21):
         p = Fraction(j, 20)
-        rows.append(_row(cfg, bounds(cfg.n, cfg.k, p), None, None, None,
-                         True, p=p, trials=0))
+        rows.append(_row(cfg, bounds(cfg.n, cfg.k, p), 0, None, None, None,
+                         (), p=p))
     return rows
 
 
@@ -442,21 +487,23 @@ def brute_force_locate(n, k):
 
 
 def _run_brute(cfg):
-    rows = []
-    b = bounds(cfg.n, cfg.k, cfg.p)
-    if cfg.n <= 5 and cfg.k <= 2:
-        opt = brute_force_select(cfg.n, cfg.k, cfg.p)
-        ok = b["thm2_lo"] <= opt <= b["thm2_hi"]
-        rows.append(_row(cfg, b, float(opt), 0.0, None, ok,
-                         problem="brute_select", trials=1))
-    if cfg.n <= 32 and cfg.k <= 3:
-        opt = brute_force_locate(cfg.n, cfg.k)
-        ok = opt <= cfg.k * ceil_kth_root(cfg.n, cfg.k)
-        rows.append(_row(cfg, b, float(opt), 0.0, None, ok,
-                         problem="brute_locate", trials=1))
-    if not rows:
+    n, k = cfg.n, cfg.k
+    small_select, small_locate = n <= 5 and k <= 2, n <= 32 and k <= 3
+    if not (small_select or small_locate):
         raise SearchSpaceTooLarge(
-            "n=%d k=%d is outside both exhaustive guards" % (cfg.n, cfg.k))
+            "n=%d k=%d is outside both exhaustive guards" % (n, k))
+    b = bounds(n, k, cfg.p)
+    rows = []
+    if small_select:
+        opt = brute_force_select(n, k, cfg.p)
+        rows.append(_row(cfg, b, 1, float(opt), 0.0, None,
+                         (_within("optimum", opt, b["thm2_lo"], b["thm2_hi"]),),
+                         problem="brute_select"))
+    if small_locate:
+        opt = brute_force_locate(n, k)
+        rows.append(_row(cfg, b, 1, float(opt), 0.0, None,
+                         (_at_most("optimum", opt, k * ceil_kth_root(n, k)),),
+                         problem="brute_locate"))
     return rows
 
 
@@ -501,9 +548,8 @@ def _render_csv(rows):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    names = [f.name for f in fields(BoundRow)]
     for r in rows:
-        writer.writerow([_cell(getattr(r, name)) for name in names])
+        writer.writerow([_cell(getattr(r, name)) for name in _CSV_FIELDS])
     return buf.getvalue()
 
 

@@ -425,22 +425,6 @@ def open_session(instance, k_limit):
     return Session(instance, k_limit)
 
 
-def answers_consistent(transcript, instance):
-    """Replay a transcript against an instance, checking every answer."""
-    for qs, ans in transcript.batches:
-        for q, a in zip(qs, ans):
-            if q.__class__ is RankQuery:
-                idx = instance.target_index if q.item == TARGET else q.item
-                want = compare(instance.rank_of(idx), q.threshold)
-            else:
-                li = instance.target_index if q.left == TARGET else q.left
-                ri = instance.target_index if q.right == TARGET else q.right
-                want = compare(instance.rank_of(li), instance.rank_of(ri))
-            if a != want:
-                return False
-    return True
-
-
 def random_instance(n, rng, with_target=True):
     ranks = list(range(1, n + 1))
     rng.shuffle(ranks)

@@ -163,13 +163,10 @@ class AdversaryCakeInstance:
         d = y.denominator
         return None if self.den % d else y.numerator * (self.den // d)
 
-    def take_slot(self, agent, i, relation):
-        """Pin agent's i/n mark; relation says how her hidden position
-        compares to i. Returns the grid point (idempotent per pair)."""
-        return self.grid_point(i, self.pin(agent, i, relation))
-
     def pin(self, agent, i, relation):
-        """take_slot's slot c, without building the grid point."""
+        """Pin agent's i/n mark; relation says how her hidden position
+        compares to i. Returns its slot c on grid i (idempotent per
+        pair); `grid_point(i, c)` is the mark."""
         key = (agent, i)
         c = self.slots.get(key)
         if c is None:

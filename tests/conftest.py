@@ -1,6 +1,6 @@
 import random
 
-from rounds_lab.oracle import HiddenInstance, open_session
+from rounds_lab.oracle import TARGET, HiddenInstance, RankQuery, compare, open_session
 
 
 def sorted_instance(n, target_rank=None):
@@ -29,3 +29,26 @@ def mark_rows(marks, scale=lambda: 1):
             nums.append(x.numerator * f)
             dens.append(x.denominator * f)
     return rows, nums, dens
+
+
+def answers_consistent(transcript, instance):
+    """Replay a rank or comparison transcript against an instance,
+    checking every answer."""
+    for qs, ans in transcript.batches:
+        for q, a in zip(qs, ans):
+            if q.__class__ is RankQuery:
+                idx = instance.target_index if q.item == TARGET else q.item
+                want = compare(instance.rank_of(idx), q.threshold)
+            else:
+                li = instance.target_index if q.left == TARGET else q.left
+                ri = instance.target_index if q.right == TARGET else q.right
+                want = compare(instance.rank_of(li), instance.rank_of(ri))
+            if a != want:
+                return False
+    return True
+
+
+def take_slot(inst, agent, i, relation):
+    """Pin agent's i/n mark on an `AdversaryCakeInstance` and return the
+    grid point (idempotent per pair)."""
+    return inst.grid_point(i, inst.pin(agent, i, relation))

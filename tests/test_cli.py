@@ -10,6 +10,7 @@ import pytest
 import rounds_lab
 from rounds_lab import cli, harness
 from rounds_lab.harness import CSV_COLUMNS
+from rounds_lab.rank_sort import AdversaryState
 
 
 def run_cli(capsys, *argv):
@@ -117,13 +118,54 @@ def test_missing_required_flags():
         cli.main(["mystery", "--n", "4", "--k", "1"])
 
 
-def test_sampled_runs_over_the_budget_are_refused(capsys):
-    for argv in (("sort", "--n", "100000", "--k", "1"),
-                 ("sort", "--n", str(10 ** 400), "--k", "3"),
-                 ("reduce", "--n", "4000", "--k", "1")):
-        code, out, err = run_cli(capsys, *argv, "--mode", "mc", "--trials", "1")
+MC1 = ("--mode", "mc", "--trials", "1")
+
+# runs that may ask more than the default budget, each refused at once:
+# exit 2, nothing on stdout, one line on stderr naming the refusal
+REFUSED = [
+    (("sort", "--n", "100000", "--k", "1") + MC1, "OverBudget"),
+    (("sort", "--n", str(10 ** 400), "--k", "3") + MC1, "OverBudget"),
+    (("reduce", "--n", "4000", "--k", "1") + MC1, "OverBudget"),
+    # the refusal must not format n!, which has more than 4300 digits here
+    (("sort", "--n", "2000", "--k", "2"), "InfeasibleExact"),
+    (("reduce", "--n", "2000", "--k", "2"), "InfeasibleExact"),
+    # one sampled trial would build a list of n probes or n items
+    (("locate", "--n", str(10 ** 12), "--k", "1") + MC1, "OverBudget"),
+    (("select", "--n", str(10 ** 12), "--k", "3") + MC1, "OverBudget"),
+]
+
+# runs that take minutes or hours unless the budget refuses them before
+# any work grows with n or k; run in a separate process, so a hang times out
+WOULD_HANG = [
+    (("sort", "--n", "3000000", "--k", "2"), "InfeasibleExact"),  # n!
+    (("locate", "--n", "100000", "--k", "1"), "InfeasibleExact"),  # n**2 queries
+    (("select", "--n", "100000000", "--k", "100000000"), "InfeasibleExact"),
+    (("cake", "--n", "100000", "--k", "1") + MC1, "OverBudget"),
+]
+
+
+def test_sampled_runs_over_the_budget_are_refused(capsys, monkeypatch):
+    monkeypatch.delenv(harness.BUDGET_ENV, raising=False)
+    for argv, error in REFUSED:
+        code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
-        assert err.startswith("OverBudget: ") and err.count("\n") == 1
+        assert err.startswith(error + ": ") and err.count("\n") == 1
+
+
+def run_cli_process(argv):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rounds_lab.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop(harness.BUDGET_ENV, None)
+    return subprocess.run([sys.executable, "-m", "rounds_lab.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=20)
+
+
+@pytest.mark.parametrize("argv,error", REFUSED + WOULD_HANG)
+def test_refusals_finish_fast(argv, error):
+    proc = run_cli_process(argv)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith(error + ": ") and proc.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -139,11 +181,7 @@ def test_sampled_runs_over_the_budget_are_refused(capsys):
 def test_huge_round_budgets_finish_fast(argv):
     """A round budget far past ceil(log2 n) changes no split, and must not
     cost time that grows with k; a separate process, so a hang times out."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(rounds_lab.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "rounds_lab.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=20)
+    proc = run_cli_process(argv)
     assert proc.returncode == 0 and proc.stderr == ""
     assert parse_rows(proc.stdout)[0]["pass"] == "true"
 
@@ -165,6 +203,42 @@ def test_budget_guards_one_sampled_trial(capsys, monkeypatch, problem, n, k, cap
     # the guard is per trial: many trials at the cap still run
     code, out, err = run_cli(capsys, *argv, "--trials", "5")
     assert code == 0 and err == "" and parse_rows(out)[0]["trials"] == "5"
+
+
+@pytest.mark.parametrize("problem,n,k,cap", [
+    ("locate", 10, 1, 10 * 10),         # n targets at k*ceil(n**(1/k)) each
+    ("locate", 16, 2, 16 * 8),
+    ("locate", 16, 10 ** 12, 16 * 8),   # past ceil(log2 16) = 4 rounds
+    ("select", 5, 3, 1 + 3),            # one analytic run, k schedule steps
+    ("sort", 3, 1, 6 * 2 * 9 + 27),     # 3! runs at 2k*n**(1+1/k), then n**3
+    ("sort", 4, 2, 24 * 32 + 32),       # and the forced count once
+    ("reduce", 3, 1, 6 * (9 + 3)),      # 3! runs at k*n**(1+1/k) + k*n
+])
+def test_budget_guards_an_exact_run(capsys, monkeypatch, problem, n, k, cap):
+    argv = (problem, "--n", str(n), "--k", str(k))
+    monkeypatch.setenv(harness.BUDGET_ENV, str(cap - 1))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "") and err.startswith("InfeasibleExact: ")
+    monkeypatch.setenv(harness.BUDGET_ENV, str(cap))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+
+
+def test_a_failing_check_is_named_on_stderr(capsys, monkeypatch):
+    real = harness.sort_rank
+
+    def wrong(session, n, k):
+        # right against the opponent behind the forced count, wrong on
+        # every hidden permutation
+        got = real(session, n, k)
+        return got if isinstance(session.backend, AdversaryState) else got[::-1]
+
+    monkeypatch.setattr(harness, "sort_rank", wrong)
+    code, out, err = run_cli(capsys, "sort", "--n", "4", "--k", "2")
+    assert code == 1
+    row = parse_rows(out)[0]
+    assert (row["pass"], row["success_rate"]) == ("false", "0.0")
+    assert err == "FAIL sort sorted: measured 0.0, bound 1\n"
 
 
 # Measurement columns (problem through success_rate, plus pass) on a fixed

@@ -8,12 +8,12 @@ from rounds_lab.cake import CutQuery, DensityBackend, EvalQuery, PiecewiseDensit
 from rounds_lab.oracle import (EQUAL, GREATER, LESS, TARGET, ComparisonQuery,
                                HiddenInstance, MalformedQuery, ProductBatch,
                                RankQuery, RationalAnswers, RoundLimitExceeded,
-                               RoundTranscript, Session, answers_consistent, compare, flip,
+                               RoundTranscript, Session, compare, flip,
                                open_session, pairs_of, random_instance)
 from rounds_lab.rank_sort import new_adversary
 from rounds_lab.reductions import (AdversaryCakeBackend, LocateComparisonBackend,
                                    SelectComparisonBackend)
-from conftest import session_for, shuffled_ranks, sorted_instance
+from conftest import answers_consistent, session_for, shuffled_ranks, sorted_instance
 
 perms = st.permutations(list(range(1, 7)))
 

@@ -18,7 +18,7 @@ from rounds_lab.reductions import (AdversaryCakeBackend, AdversaryCakeInstance,
                                    SlotExhausted, ordered_to_locate_adapter,
                                    run_reduction, unordered_to_select_adapter)
 from rounds_lab.select import build_schedule, select_det
-from conftest import sorted_instance
+from conftest import sorted_instance, take_slot
 
 
 def protocol(k):
@@ -67,7 +67,7 @@ def test_select_adapter_matches_native(n, data):
 def instance_cut(inst, agent, i):
     """The mark revealed for a cut request at value i/n (needs pi)."""
     assert inst.pi is not None
-    return inst.take_slot(agent, i, compare(inst.pi[agent - 1], i))
+    return take_slot(inst, agent, i, compare(inst.pi[agent - 1], i))
 
 
 def realized_density(inst, agent):
