@@ -32,7 +32,7 @@ from numbers import Rational
 
 from .oracle import (MalformedQuery, ProductBatch, RationalAnswers,
                      Session as CakeSession, blocks_of, pairs_of, query_at)
-from .util import ceil_kth_root, useful_rounds
+from .util import ceil_kth_root, group_sizes, useful_rounds
 
 
 class MalformedAllocation(Exception):
@@ -273,12 +273,6 @@ class DensityBackend:
                         "cut argument" if kind is CutQuery else "eval point",
                         xs[good]))
         return RationalAnswers(nums, dens)
-
-
-def group_sizes(m, z):
-    """Split m agents into z groups as evenly as possible, larger first."""
-    base, extra = divmod(m, z)
-    return [base + 1] * extra + [base] * (z - extra)
 
 
 def assign_subcakes(rows, nums, dens, targets):

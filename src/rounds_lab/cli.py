@@ -69,6 +69,7 @@ def main(argv=None):
                 raise ValueError("file holds %d agents but --n is %d"
                                  % (len(agents), config.n))
         elif args.save_cake:
+            harness.check_cake_budget(config)  # before sampling or writing
             agents = harness.sample_cake_agents(config, 0)
             with open(args.save_cake, "w") as fh:
                 fh.write(cake_mod.format_cake_file(agents))

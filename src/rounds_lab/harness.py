@@ -379,12 +379,18 @@ def sample_cake_agents(cfg, trial):
     return [cake_mod.random_density(rng) for _ in range(cfg.n)]
 
 
+def check_cake_budget(cfg):
+    """The cake row's budget rule, which `cli.main` also runs before it
+    samples an instance to save."""
+    kk = useful_rounds(cfg.n, cfg.k)
+    _guard(cfg, (kk * cfg.n, kk * cfg.n), kk)
+
+
 def _run_cake(cfg, fixed_agents=None):
     n, k = cfg.n, cfg.k
     if cfg.mode == "exact" and fixed_agents is None:
         raise InfeasibleExact("division instances admit no finite enumeration")
-    kk = useful_rounds(n, k)
-    _guard(cfg, (kk * n, kk * n), kk)
+    check_cake_budget(cfg)
     instances = ((fixed_agents,) if fixed_agents is not None else
                  (sample_cake_agents(cfg, t) for t in range(cfg.trials)))
 

@@ -14,7 +14,8 @@ from functools import cached_property
 from math import ceil
 
 from .oracle import EQUAL, LESS, TARGET, ProductBatch, RankQuery
-from .util import bernoulli, ceil_kth_root, normalized_weights, useful_rounds
+from .util import (bernoulli, ceil_kth_root, group_sizes, normalized_weights,
+                   useful_rounds)
 
 
 @dataclass(frozen=True)
@@ -58,8 +59,7 @@ def probe_positions(count, rounds_left):
     if rounds_left <= 1:
         return list(range(count))
     z = ceil_kth_root(count, rounds_left)
-    base, extra = divmod(count - (z - 1), z)
-    sizes = [base + 1] * extra + [base] * (z - extra)
+    sizes = group_sizes(count - (z - 1), z)
     positions = []
     at = 0
     for size in sizes[:-1]:

@@ -66,11 +66,10 @@ class ProductBatch:
     and `blocks` an iterable of (items, levels) pairs. Block
     (items, levels) asks kind(item, level) for each item and, within an
     item, for each level; iterating yields those queries in that order,
-    block after block. It compares and hashes like the tuple of its
-    queries. The constructor copies every block into a (kind, items tuple,
-    levels tuple) triple of `blocks`, so changing the caller's lists
-    afterwards does not change the batch; nothing here assigns its
-    attributes after that, and callers must not either.
+    block after block. The constructor copies every block into a (kind,
+    items tuple, levels tuple) triple of `blocks`, so changing the
+    caller's lists afterwards does not change the batch; nothing here
+    assigns its attributes after that, and callers must not either.
     """
 
     __slots__ = ("kind", "blocks", "_size")
@@ -94,18 +93,6 @@ class ProductBatch:
         make = partial(tuple.__new__, self.kind)  # kind(item, level), in C
         return chain.from_iterable(map(make, product(items, levels))
                                    for _, items, levels in self.blocks)
-
-    def __eq__(self, other):
-        if other.__class__ is ProductBatch:
-            if self.blocks == other.blocks:
-                return True
-            return self._size == other._size and tuple(self) == tuple(other)
-        if isinstance(other, tuple):
-            return self._size == len(other) and tuple(self) == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(tuple(self))
 
     def __repr__(self):
         return "ProductBatch(%s, %r)" % (
@@ -135,12 +122,10 @@ class RationalAnswers:
     """One batch's rational answers, kept as integer pairs.
 
     Answer j is nums[j] / dens[j], with dens[j] positive and the pair not
-    necessarily in lowest terms. Iterating or indexing yields the answers
-    as normalised `Fraction`s, built on the first such read and kept; the
+    necessarily in lowest terms. Iterating yields the answers as
+    normalised `Fraction`s, built on the first such read and kept; the
     integer lists are dropped then, so a block holds one form at a time.
-    It compares equal to the tuple, and to the list, of those `Fraction`s
-    and hashes like the tuple. The caller hands its lists over: nothing
-    changes them afterwards.
+    The caller hands its lists over: nothing changes them afterwards.
     """
 
     __slots__ = ("_nums", "_dens", "_fractions", "_size")
@@ -164,19 +149,6 @@ class RationalAnswers:
 
     def __iter__(self):
         return iter(self.fractions())
-
-    def __getitem__(self, index):
-        return self.fractions()[index]
-
-    def __eq__(self, other):
-        if other.__class__ is RationalAnswers:
-            return self is other or self.fractions() == other.fractions()
-        if isinstance(other, (tuple, list)):
-            return self._size == len(other) and self.fractions() == tuple(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.fractions())
 
     def __repr__(self):
         return "RationalAnswers(%r)" % (self.fractions(),)
@@ -330,7 +302,7 @@ class HiddenInstance:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RoundTranscript:
     """A session's record up to the moment `Session.transcript()` ran.
 
@@ -339,9 +311,8 @@ class RoundTranscript:
     per-query (query, answer) pairs, the queries of a `ProductBatch` and
     the `Fraction`s of a `RationalAnswers` block are built on the first
     read of `rounds`; `round_sizes` and `total_queries` never build them.
-    Equality and hash go by the batches, which is the same as going by
-    `rounds`, since a `ProductBatch` compares and hashes like the tuple of
-    its queries and a `RationalAnswers` block like that of its answers.
+    Equality and hash go by (`rounds`, `k_limit`), so a round submitted as
+    a `ProductBatch` equals the same queries submitted flat.
     """
 
     # one (queries, answers) pair per round; queries is a tuple or a
@@ -353,6 +324,14 @@ class RoundTranscript:
     def rounds(self):
         """One tuple of (query, answer) pairs per batch."""
         return tuple(tuple(zip(qs, ans)) for qs, ans in self.batches)
+
+    def __eq__(self, other):
+        if other.__class__ is not RoundTranscript:
+            return NotImplemented
+        return (self.rounds, self.k_limit) == (other.rounds, other.k_limit)
+
+    def __hash__(self):
+        return hash((self.rounds, self.k_limit))
 
     @property
     def round_sizes(self):

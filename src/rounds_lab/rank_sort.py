@@ -23,7 +23,7 @@ with one round probes every item at every inner rank, so x = 0 at every
 step and its m steps cost O(m*P).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import e
 
 from .oracle import (EQUAL, GREATER, LESS, MalformedQuery, ProductBatch,
@@ -124,25 +124,58 @@ class Segment:
     hi: int
 
 
-@dataclass
 class AdversaryState:
-    """Order commitments made so far; always realizable by a permutation."""
+    """Order commitments made so far; always realizable by a permutation.
 
-    n: int
-    resolved: dict = field(default_factory=dict)  # item -> committed rank
-    segments: list = field(default_factory=list)  # open Segments, disjoint
+    A fresh state has committed nothing: all n items share one open
+    segment holding ranks [1, n].
+    """
 
-    def answer_batch(self, queries):
-        return adversary_round(self, queries)
+    def __init__(self, n):
+        self.n = n
+        self.resolved = {}  # item -> committed rank
+        self.segments = []  # open Segments, disjoint
+        if n == 1:
+            self.resolved[1] = 1
+        elif n > 1:
+            self.segments.append(Segment(items=tuple(range(1, n + 1)), lo=1, hi=n))
 
-
-def new_adversary(n):
-    state = AdversaryState(n=n)
-    if n == 1:
-        state.resolved[1] = 1
-    elif n > 1:
-        state.segments.append(Segment(items=tuple(range(1, n + 1)), lo=1, hi=n))
-    return state
+    def answer_batch(self, batch):
+        """Answer one batch while committing as little order as possible."""
+        n = self.n
+        resolved = self.resolved
+        answers = [None] * len(batch)
+        segment_of = {item: seg for seg in self.segments for item in seg.items}
+        by_segment = {}
+        pos = 0
+        for kind, items, ts in blocks_of(batch):
+            if not ts:
+                continue  # asks nothing, so nothing in it is judged
+            if items and kind is not RankQuery:
+                raise MalformedQuery("the opponent only serves rank queries")
+            for item in items:
+                if not (item.__class__ is int and 1 <= item <= n):
+                    raise MalformedQuery("item index out of range: %r" % (item,))
+                r = resolved.get(item)
+                seg = segment_of.get(item)
+                for t in ts:
+                    if not (t.__class__ is int and 1 <= t <= n):
+                        raise MalformedQuery("threshold out of range: %r" % (t,))
+                    if r is not None:
+                        answers[pos] = compare(r, t)
+                    elif seg is None:
+                        raise InconsistentQuery("item %d belongs nowhere" % (item,))
+                    elif t < seg.lo:
+                        answers[pos] = GREATER
+                    elif t > seg.hi:
+                        answers[pos] = LESS
+                    else:
+                        by_segment.setdefault(id(seg), (seg, []))[1].append((pos, item, t))
+                    pos += 1
+        self.segments = [s for s in self.segments if id(s) not in by_segment]
+        for seg, local in by_segment.values():
+            _carve(self, seg.items, seg.lo, seg.hi, local, answers)
+        return answers
 
 
 def _commit(state, items, lo, hi):
@@ -205,44 +238,6 @@ def _carve(state, items, lo, hi, local, answers):
     _commit(state, items, lo, hi)
 
 
-def adversary_round(state, batch):
-    """Answer one batch while committing as little order as possible."""
-    n = state.n
-    resolved = state.resolved
-    answers = [None] * len(batch)
-    segment_of = {item: seg for seg in state.segments for item in seg.items}
-    by_segment = {}
-    pos = 0
-    for kind, items, ts in blocks_of(batch):
-        if not ts:
-            continue  # asks nothing, so nothing in it is judged
-        if items and kind is not RankQuery:
-            raise MalformedQuery("the opponent only serves rank queries")
-        for item in items:
-            if not (item.__class__ is int and 1 <= item <= n):
-                raise MalformedQuery("item index out of range: %r" % (item,))
-            r = resolved.get(item)
-            seg = segment_of.get(item)
-            for t in ts:
-                if not (t.__class__ is int and 1 <= t <= n):
-                    raise MalformedQuery("threshold out of range: %r" % (t,))
-                if r is not None:
-                    answers[pos] = compare(r, t)
-                elif seg is None:
-                    raise InconsistentQuery("item %d belongs nowhere" % (item,))
-                elif t < seg.lo:
-                    answers[pos] = GREATER
-                elif t > seg.hi:
-                    answers[pos] = LESS
-                else:
-                    by_segment.setdefault(id(seg), (seg, []))[1].append((pos, item, t))
-                pos += 1
-    state.segments = [s for s in state.segments if id(s) not in by_segment]
-    for seg, local in by_segment.values():
-        _carve(state, seg.items, seg.lo, seg.hi, local, answers)
-    return answers
-
-
 def consistent_witness(state):
     """One total order (tuple of ranks by item) agreeing with everything
     the opponent has said; open segments default to item-id order."""
@@ -259,7 +254,7 @@ def forced_query_count(algorithm, n, k):
     """Queries `algorithm` spends against the opponent before naming the
     one order consistent with everything said. Raises AlgorithmIncorrect
     when several orders (or a different order) remain possible."""
-    session = Session(new_adversary(n), k)
+    session = Session(AdversaryState(n), k)
     claimed = tuple(algorithm(session, n, k))
     state = session.backend
     for seg in state.segments:

@@ -16,19 +16,18 @@ ordering of the agents.
 The adversary works on integer images of its grids. Grid point (i, c)
 is one integer over a common denominator (`AdversaryCakeInstance.istep`,
 `cstep` and `den`). A cut argument maps to its grid by a divisibility test,
-`points` is keyed by those integers, and an eval compares them. Each answer
-costs O(1) integer work and no `Fraction`: a batch is answered as one
-`RationalAnswers` block of numerators and denominators.
+`points` is keyed by those integers, and an eval compares slots on one
+grid. Each answer costs O(1) integer work and no `Fraction`: a batch is
+answered as one `RationalAnswers` block of numerators and denominators.
 
 `run_reduction` checks the final allocation without building any density.
 Each inner slice boundary must be a grid point, and each owner's value of
-her slice has a closed form in integer grid coordinates, the same one the
-eval answers use. The check costs O(1) integer work per boundary and per
-owner, plus O(n) for each boundary grid on which an owner's mark was never
-requested (`run_proportional` requests them all).
+her slice has a closed form in integer grid coordinates, `_scaled_value`,
+which the eval answers use too. The check costs O(1) integer work per
+boundary and per owner, plus O(n) for each boundary grid on which an
+owner's mark was never requested (`run_proportional` requests them all).
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import groupby
 from operator import itemgetter
@@ -36,7 +35,8 @@ from operator import itemgetter
 from .cake import CutQuery, EvalQuery, check_agent, check_allocation
 from .oracle import (LESS, GREATER, ComparisonQuery, MalformedQuery,
                      ProductBatch, RankQuery, RationalAnswers, Session, TARGET,
-                     blocks_of, compare, flip, is_identity, query_at)
+                     blocks_of, compare, flip, is_identity, is_permutation,
+                     query_at)
 
 
 _ZERO = Fraction(0)
@@ -114,49 +114,36 @@ def unordered_to_select_adapter(comparison_session):
                    comparison_session.k_limit)
 
 
-@dataclass
 class AdversaryCakeInstance:
     """Spiky valuations pinned to fixed grids, revealed one mark at a time.
 
-    Grid i holds the n points i/(n+1) + c*eps for c = 1..n. Agent p's i/n
-    mark lands on a grid-i point chosen by her hidden position: strictly
-    below i takes the next point up from c = 1, strictly above takes the
-    next point down from c = n, and position i itself takes c = i. The
-    hidden positions form a permutation, so grid i sees at most i - 1 marks
-    below and n - i above, and the three rules never meet.
+    Grid i holds the n points i/(n+1) + c*eps for c = 1..n, with
+    eps = 1/(n**4 + 1). Agent p's i/n mark lands on a grid-i point chosen
+    by her hidden position: strictly below i takes the next point up from
+    c = 1, strictly above takes the next point down from c = n, and
+    position i itself takes c = i. The hidden positions form a
+    permutation, so grid i sees at most i - 1 marks below and n - i above,
+    and the three rules never meet.
 
     Grid point (i, c) is the integer i*istep + c*cstep over the common
-    denominator den (both steps and den are set with epsilon); `points`
-    is keyed by that integer.
+    denominator den; `points` is keyed by that integer.
     """
 
-    n: int
-    pi: tuple = None  # hidden ranks by agent; optional until finalization
-    epsilon: Fraction = None
-    slots: dict = field(default_factory=dict)   # (agent, i) -> c
-    counts: dict = field(default_factory=dict)  # i -> (marks below, above)
-    points: dict = field(default_factory=dict)  # grid point over den -> (agent, i)
+    def __init__(self, n):
+        self.n = n
+        # i/(n+1) + c*eps = (i*f + c*(n+1)) / ((n+1)*f) with f = 1/eps
+        f = n ** 4 + 1
+        self.istep = f
+        self.cstep = n + 1
+        self.den = f * (n + 1)
+        self.slots = {}   # (agent, i) -> c
+        self.counts = {}  # i -> (marks below, above)
+        self.points = {}  # grid point over den -> (agent, i)
 
-    def __post_init__(self):
-        if self.epsilon is None:
-            self.epsilon = Fraction(1, self.n ** 4 + 1)
-
-    def __setattr__(self, name, value):
-        if name == "pi" and value is not None:
-            value = tuple(value)
-            if sorted(value) != list(range(1, self.n + 1)):
-                raise ValueError("pi must be a permutation of 1..n")
-        elif name == "epsilon" and value is not None:
-            # i/(n+1) + c*e/f = (i*f + c*e*(n+1)) / ((n+1)*f)
-            eps = Fraction(value)
-            f = eps.denominator
-            object.__setattr__(self, "istep", f)
-            object.__setattr__(self, "cstep", eps.numerator * (self.n + 1))
-            object.__setattr__(self, "den", f * (self.n + 1))
-        object.__setattr__(self, name, value)
-
-    def grid_point(self, i, c):
-        return Fraction(i * self.istep + c * self.cstep, self.den)
+    @property
+    def epsilon(self):
+        """The grid spacing eps = 1/(n**4 + 1)."""
+        return Fraction(1, self.istep)
 
     def point_key(self, y):
         """The integer over den that equals y, or None when there is none."""
@@ -166,7 +153,7 @@ class AdversaryCakeInstance:
     def pin(self, agent, i, relation):
         """Pin agent's i/n mark; relation says how her hidden position
         compares to i. Returns its slot c on grid i (idempotent per
-        pair); `grid_point(i, c)` is the mark."""
+        pair); the mark is grid point (i, c)."""
         key = (agent, i)
         c = self.slots.get(key)
         if c is None:
@@ -208,7 +195,8 @@ class AdversaryCakeBackend:
         return i, None if i else _ZERO
 
     def _eval_level(self, y):
-        """(grid i, point over den) for an eval at y, or (0, y) at 0 and 1."""
+        """(grid i, slot c) for an eval at grid point (i, c), or (0, y) at
+        0 and 1."""
         inst = self.inst
         if y.__class__ is not Fraction:
             y = Fraction(y)
@@ -219,14 +207,14 @@ class AdversaryCakeBackend:
         if ref is None:
             raise MalformedQuery(
                 "eval at a point that is not a previous cut: %s" % (y,))
-        return ref[1], point
+        return ref[1], inst.slots[ref]
 
     def answer_batch(self, batch):
         inst = self.inst
         n = inst.n
         slots = inst.slots
-        # per block: (agents, levels), a level being (grid i, eval point over
-        # den or None), or (0, answer) at 0 and 1
+        # per block: (agents, levels), a level being (grid i, eval slot or
+        # None for a cut), or (0, answer) at 0 and 1
         plan = []
         new = {}  # (agent, i) pairs to probe, in order of first appearance
         for kind, agents, xs in blocks_of(batch):
@@ -262,32 +250,37 @@ class AdversaryCakeBackend:
         put_num, put_den = nums.append, dens.append
         for agents, levels in plan:
             for agent in agents:
-                for i, point in levels:
+                for i, c in levels:
                     if not i:
-                        put_num(point.numerator)
-                        put_den(point.denominator)
+                        put_num(c.numerator)
+                        put_den(c.denominator)
                         continue
-                    own = i * istep + slots[agent, i] * cstep
-                    if point is None:
-                        put_num(own)
+                    own = slots[agent, i]
+                    if c is None:
+                        put_num(i * istep + own * cstep)
                         put_den(den)
-                    elif own == point:
-                        put_num(i)
-                        put_den(n)
                     else:
-                        put_num(i if own > point else i + 1)
-                        put_den(n + 1)
+                        put_num(_scaled_value(n, i, c, own))
+                        put_den(n * (n + 1))
         return RationalAnswers(nums, dens)
 
 
-def _unrequested_slot(inst, agent, i):
-    """The grid-i slot of a mark the protocol never requested.
+def _scaled_value(n, i, c, own):
+    """n(n+1) times the value of [0, grid point (i, c)] to an agent whose
+    grid-i mark sits at slot own: i(n+1) at her mark, i*n below it and
+    (i+1)*n above it."""
+    return i * (n + 1) if c == own else i * n if c < own else (i + 1) * n
+
+
+def _unrequested_slot(inst, pi, agent, i):
+    """The grid-i slot of a mark the protocol never requested, for hidden
+    ranks pi.
 
     Filling every missing mark, agent by agent, touches grid i's counts only
     through grid i's own marks, so the slot is what an agent-id-order fill
     of that one grid gives: O(n).
     """
-    pi, slots = inst.pi, inst.slots
+    slots = inst.slots
     own = pi[agent - 1]
     low, high = inst.counts.get(i, (0, 0))
     if own < i:
@@ -299,19 +292,18 @@ def _unrequested_slot(inst, agent, i):
     return i
 
 
-def _grid_ranks(allocation, inst):
-    """Ranks implied by a proportional allocation of the spiky cake.
+def _grid_ranks(allocation, inst, pi):
+    """Ranks implied by a proportional allocation of the spiky cake, for
+    hidden ranks pi.
 
     Boundary i must be the grid-i point (i, c) with 1 <= c <= n, else
-    NotProportional. Scaled by n(n+1), an agent whose grid-i mark sits at
-    slot own values [0, (i, c)] at i(n+1) when c == own, i*n when c < own
-    and (i+1)*n when c > own; [0, 0] is worth 0 and [0, 1] is worth
-    n(n+1). An owner valuing her slice under n + 1 raises NotProportional.
-    The agent holding the i-th slice sits at hidden position i. Needs
-    inst.pi and an allocation that passed `check_allocation`.
+    NotProportional. Scaled by n(n+1), an agent values [0, (i, c)] as
+    `_scaled_value` says, [0, 0] at 0 and [0, 1] at n(n+1). An owner
+    valuing her slice under n + 1 raises NotProportional. The agent
+    holding the i-th slice sits at hidden position i. Needs an allocation
+    that passed `check_allocation`.
     """
     n = inst.n
-    pi = inst.pi
     pieces = allocation.pieces
     istep, cstep = inst.istep, inst.cstep
     grid = [0]  # slot c of each inner boundary, by boundary index
@@ -329,11 +321,10 @@ def _grid_ranks(allocation, inst):
             return i * (n + 1)
         own = inst.slots.get((agent, i))
         if own is None:
-            own = _unrequested_slot(inst, agent, i)
+            own = _unrequested_slot(inst, pi, agent, i)
         # marks increase: every slot sits on grid i, on its relation's side
         assert 1 <= own <= n and compare(own, i) == compare(pi[agent - 1], i)
-        c = grid[i]
-        return i * (n + 1) if c == own else i * n if c < own else (i + 1) * n
+        return _scaled_value(n, i, grid[i], own)
 
     ranks = [None] * n
     for position, agent in enumerate(allocation.owners, start=1):
@@ -354,16 +345,17 @@ def run_reduction(cake_protocol, n, rank_session):
     can audit the costs. Raises ProtocolNotPrimitive for off-grid cuts,
     MalformedAllocation for slices that do not tile [0, 1] one per agent,
     NotProportional for a slice boundary off its grid or some agent short
-    of 1/n, and ValueError before the protocol runs when the rank session
-    does not hold n items."""
+    of 1/n, and ValueError before the protocol runs when the rank session's
+    hidden ranks are not a permutation of 1..n."""
     ranks = rank_session.backend.ranks
     if len(ranks) != n:
         raise ValueError("the rank session holds %d items, not n = %d"
                          % (len(ranks), n))
+    if not is_permutation(ranks):
+        raise ValueError("the rank session's ranks are not a permutation of 1..n")
     backend = AdversaryCakeBackend(n, rank_session)
     session = Session(backend, rank_session.k_limit)
     allocation = cake_protocol(session, n)
-    inst = backend.inst
-    inst.pi = ranks
     check_allocation(allocation, n)
-    return _grid_ranks(allocation, inst), session.transcript(), allocation
+    return (_grid_ranks(allocation, backend.inst, ranks), session.transcript(),
+            allocation)

@@ -8,7 +8,8 @@ round is covered by a single closing guess.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil
+from itertools import accumulate
+from operator import mul, sub
 
 from .oracle import EQUAL, ProductBatch, RankQuery, is_permutation
 from .util import bernoulli
@@ -27,8 +28,10 @@ class SelectSchedule:
 def build_schedule(n, k, p):
     """Probe counts ceil(q*j/k) - ceil(q*(j-1)/k) with q = n*p - 1.
 
-    A negative budget (p below 1/n) clamps to an all-zero schedule: the
-    closing guess alone already succeeds with probability 1/n >= p.
+    For p = a/b the mark ceil(q*j/k) is ceil((n*a - b)*j / (b*k)), all in
+    integers. A negative budget (p below 1/n) clamps to an all-zero
+    schedule: the closing guess alone already succeeds with probability
+    1/n >= p.
     """
     p = Fraction(p)
     if n < 1:
@@ -37,12 +40,13 @@ def build_schedule(n, k, p):
         raise ValueError("k must be in 1..n")
     if not 0 <= p <= 1:
         raise ValueError("p must be in [0, 1]")
-    q = n * p - 1
+    q = n * p.numerator - p.denominator  # (n*p - 1) * b
     if q < 0:
         sizes = (0,) * k
     else:
-        marks = [ceil(q * j / k) for j in range(k + 1)]
-        sizes = tuple(marks[j] - marks[j - 1] for j in range(1, k + 1))
+        bk = p.denominator * k
+        marks = [-(-q * j // bk) for j in range(k + 1)]
+        sizes = tuple(map(sub, marks[1:], marks))
     return SelectSchedule(n=n, k=k, p=p, round_sizes=sizes)
 
 
@@ -90,14 +94,11 @@ def exact_expected_queries(schedule):
     """Expected query count of select_det over a uniform target, exactly.
 
     Landing on a probe in round j costs the full prefix through round j;
-    never landing costs every scheduled probe.
+    never landing costs every scheduled probe. n times the expectation is
+    an integer sum, divided by n once.
     """
     n = schedule.n
-    total = Fraction(0)
-    prefix = 0
-    issued = sum(schedule.round_sizes)
-    for size in schedule.round_sizes:
-        prefix += size
-        total += Fraction(size, n) * prefix
-    total += Fraction(n - issued, n) * issued
-    return total
+    sizes = schedule.round_sizes
+    issued = sum(sizes)
+    landed = sum(map(mul, sizes, accumulate(sizes)))
+    return Fraction(landed + (n - issued) * issued, n)

@@ -74,6 +74,13 @@ def _fixed_power_bracket(lo, hi, k, bits, cap):
             return lo, hi
 
 
+def group_sizes(m, z):
+    """Split m into z parts whose sizes differ by at most one, larger
+    first."""
+    base, extra = divmod(m, z)
+    return [base + 1] * extra + [base] * (z - extra)
+
+
 def ceil_log2(n):
     """Smallest k with 2**k >= n."""
     if n < 1:

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 from rounds_lab.oracle import TARGET, HiddenInstance, RankQuery, compare, open_session
 
@@ -48,7 +49,13 @@ def answers_consistent(transcript, instance):
     return True
 
 
+def grid_point(inst, i, c):
+    """Grid point (i, c) of an `AdversaryCakeInstance` as a `Fraction`; the
+    inverse of its `point_key`."""
+    return Fraction(i * inst.istep + c * inst.cstep, inst.den)
+
+
 def take_slot(inst, agent, i, relation):
     """Pin agent's i/n mark on an `AdversaryCakeInstance` and return the
     grid point (idempotent per pair)."""
-    return inst.grid_point(i, inst.pin(agent, i, relation))
+    return grid_point(inst, i, inst.pin(agent, i, relation))

@@ -3,6 +3,7 @@ import io
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -168,6 +169,19 @@ def test_refusals_finish_fast(argv, error):
     assert proc.stderr.startswith(error + ": ") and proc.stderr.count("\n") == 1
 
 
+def test_an_over_budget_save_cake_writes_nothing(tmp_path):
+    """The budget refuses the run before an instance is sampled or the
+    file is opened."""
+    path = tmp_path / "big.cake"
+    start = time.perf_counter()
+    proc = run_cli_process(("cake", "--n", "200000", "--k", "1") + MC1
+                           + ("--save-cake", str(path)))
+    assert time.perf_counter() - start < 5
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("OverBudget: ") and proc.stderr.count("\n") == 1
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ("sort", "--n", "5", "--k", "100000000"),
     ("sort", "--n", "5", "--k", str(10 ** 12)),
@@ -177,6 +191,8 @@ def test_refusals_finish_fast(argv, error):
     # the sampled budget guards clamp k to ceil(log2 n) as the runs do
     ("sort", "--n", "5", "--k", str(10 ** 12), "--mode", "mc", "--trials", "1"),
     ("reduce", "--n", "5", "--k", str(10 ** 12), "--mode", "mc", "--trials", "1"),
+    # a million-round select schedule, built and summed in integers
+    ("select", "--n", "100000000", "--k", "1000000", "--p", "1/3"),
 ])
 def test_huge_round_budgets_finish_fast(argv):
     """A round budget far past ceil(log2 n) changes no split, and must not

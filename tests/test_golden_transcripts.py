@@ -18,7 +18,7 @@ import pytest
 from rounds_lab.cake import proportional_protocol, random_density, run_proportional
 from rounds_lab.locate import RankDistribution, locate_det, locate_det_dist
 from rounds_lab.oracle import HiddenInstance, Session, open_session
-from rounds_lab.rank_sort import new_adversary, sort_rank
+from rounds_lab.rank_sort import AdversaryState as new_adversary, sort_rank
 from rounds_lab.reductions import (ordered_to_locate_adapter, run_reduction,
                                    unordered_to_select_adapter)
 from rounds_lab.select import build_schedule, select_det

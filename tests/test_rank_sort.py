@@ -8,11 +8,10 @@ from hypothesis import given, settings, strategies as st
 from rounds_lab.oracle import (EQUAL, GREATER, LESS, HiddenInstance,
                                MalformedQuery, RankQuery, RoundLimitExceeded,
                                Session, compare, open_session, random_instance)
-from rounds_lab.rank_sort import (AlgorithmIncorrect, InconsistentQuery,
-                                  _commit, _read_round, block_thresholds,
-                                  consistent_witness,
-                                  forced_query_count, new_adversary,
-                                  adversary_round, sort_rank,
+from rounds_lab.rank_sort import (AdversaryState, AlgorithmIncorrect,
+                                  InconsistentQuery, _commit, _read_round,
+                                  block_thresholds, consistent_witness,
+                                  forced_query_count, sort_rank,
                                   sorting_lower_bound)
 from rounds_lab.util import ceil_log2
 from conftest import shuffled_ranks
@@ -68,8 +67,8 @@ def test_single_item_free():
 
 def test_opponent_starves_a_lone_probe():
     """One probed item among four: the unprobed three grab the low ranks."""
-    state = new_adversary(4)
-    answers = adversary_round(state, [RankQuery(1, 1)])
+    state = AdversaryState(4)
+    answers = state.answer_batch([RankQuery(1, 1)])
     assert answers == [GREATER]
     assert state.resolved == {1: 4}
     assert [(tuple(s.items), s.lo, s.hi) for s in state.segments] == [((2, 3, 4), 1, 3)]
@@ -78,8 +77,8 @@ def test_opponent_starves_a_lone_probe():
 
 def test_opponent_everything_probed_pins_rank_one():
     """All four probed at 1: no starving set, the first item pins at 1."""
-    state = new_adversary(4)
-    answers = adversary_round(state, [RankQuery(i, 1) for i in (1, 2, 3, 4)])
+    state = AdversaryState(4)
+    answers = state.answer_batch([RankQuery(i, 1) for i in (1, 2, 3, 4)])
     assert answers == [EQUAL, GREATER, GREATER, GREATER]
     assert state.resolved == {1: 1}
     assert [(tuple(s.items), s.lo, s.hi) for s in state.segments] == [((2, 3, 4), 2, 4)]
@@ -88,9 +87,9 @@ def test_opponent_everything_probed_pins_rank_one():
 def test_opponent_trace_two_thresholds():
     """Five items probed at 2 and 4: the untouched pair sinks low, the
     lowest probed id pins in the middle, the rest float high."""
-    state = new_adversary(5)
-    answers = adversary_round(state, [RankQuery(i, 2) for i in (1, 2, 3)]
-                              + [RankQuery(i, 4) for i in (4, 5)])
+    state = AdversaryState(5)
+    answers = state.answer_batch([RankQuery(i, 2) for i in (1, 2, 3)]
+                                 + [RankQuery(i, 4) for i in (4, 5)])
     assert state.resolved == {1: 3}
     low = next(s for s in state.segments if s.lo == 1)
     high = next(s for s in state.segments if s.lo == 4)
@@ -125,12 +124,12 @@ def test_opponent_answers_stay_consistent():
     rng = random.Random(3)
     for _ in range(40):
         n = rng.randrange(2, 10)
-        state = new_adversary(n)
+        state = AdversaryState(n)
         log = []
         for _ in range(rng.randrange(1, 4)):
             batch = [RankQuery(rng.randrange(1, n + 1), rng.randrange(1, n + 1))
                      for _ in range(rng.randrange(1, 2 * n))]
-            log.append((batch, adversary_round(state, batch)))
+            log.append((batch, state.answer_batch(batch)))
         ranks = consistent_witness(state)
         for batch, answers in log:
             for q, a in zip(batch, answers):
@@ -140,12 +139,12 @@ def test_opponent_answers_stay_consistent():
 
 
 def test_adversary_session_enforces_rounds():
-    sess = Session(new_adversary(4), 1)
+    sess = Session(AdversaryState(4), 1)
     sess.submit_round([RankQuery(1, 2)])
     with pytest.raises(RoundLimitExceeded):
         sess.submit_round([RankQuery(2, 2)])
     with pytest.raises(MalformedQuery):
-        Session(new_adversary(4), 1).submit_round([RankQuery(9, 1)])
+        Session(AdversaryState(4), 1).submit_round([RankQuery(9, 1)])
 
 
 def test_lower_bound_values():
@@ -246,7 +245,7 @@ def reference_round(state, queries):
 
 class ReferenceOpponent:
     def __init__(self, n):
-        self.state = new_adversary(n)
+        self.state = AdversaryState(n)
 
     def answer_batch(self, queries):
         return reference_round(self.state, queries)
@@ -292,10 +291,10 @@ def probe_batches(draw, state):
 def test_opponent_matches_recursive_reference(n, data):
     """Round for round, the counting pass gives the same answers, committed
     ranks and open segments as the recursive reference."""
-    new, ref = new_adversary(n), new_adversary(n)
+    new, ref = AdversaryState(n), AdversaryState(n)
     for _ in range(data.draw(st.integers(min_value=1, max_value=4), label="rounds")):
         batch = data.draw(probe_batches(ref), label="batch")
-        assert adversary_round(new, batch) == reference_round(ref, batch)
+        assert new.answer_batch(batch) == reference_round(ref, batch)
         assert new.resolved == ref.resolved
         assert segment_list(new) == segment_list(ref)
 
@@ -395,8 +394,8 @@ def test_bulk_sort_matches_reference_against_the_opponent():
     grid = [(32, 2), (64, 2), (64, 3), (128, 2), (128, 3), (256, 2), (256, 3)]
     grid += [(n, 1) for n in range(1, 65)]
     for n, k in grid:
-        got, tr = run_sorter(sort_rank, new_adversary(n), n, k)
-        want, ref_tr = run_sorter(reference_sort_rank, new_adversary(n), n, k)
+        got, tr = run_sorter(sort_rank, AdversaryState(n), n, k)
+        want, ref_tr = run_sorter(reference_sort_rank, AdversaryState(n), n, k)
         assert got == want, (n, k)
         assert tr == ref_tr, (n, k)
         assert (forced_query_count(sort_rank, n, k)

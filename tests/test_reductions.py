@@ -18,7 +18,7 @@ from rounds_lab.reductions import (AdversaryCakeBackend, AdversaryCakeInstance,
                                    SlotExhausted, ordered_to_locate_adapter,
                                    run_reduction, unordered_to_select_adapter)
 from rounds_lab.select import build_schedule, select_det
-from conftest import sorted_instance, take_slot
+from conftest import grid_point, sorted_instance, take_slot
 
 
 def protocol(k):
@@ -64,24 +64,24 @@ def test_select_adapter_matches_native(n, data):
 # The density-based check that run_reduction's grid-coordinate verdict
 # replaced, kept here as the reference it is tested against.
 
-def instance_cut(inst, agent, i):
-    """The mark revealed for a cut request at value i/n (needs pi)."""
-    assert inst.pi is not None
-    return take_slot(inst, agent, i, compare(inst.pi[agent - 1], i))
+def instance_cut(inst, pi, agent, i):
+    """The mark revealed for a cut request at value i/n, for hidden ranks
+    pi."""
+    return take_slot(inst, agent, i, compare(pi[agent - 1], i))
 
 
-def realized_density(inst, agent):
-    """The exact step density matching every answer given to this agent.
+def realized_density(inst, pi, agent):
+    """The exact step density matching every answer given to this agent,
+    for hidden ranks pi.
 
     Mass i/(n*(n+1)) sits immediately left of her i/n mark and
     (n-i)/(n*(n+1)) immediately right, in strips of width eps/2; the value
     of [0, mark_i] is then exactly i/n.
     """
-    assert inst.pi is not None
     n = inst.n
     half = inst.epsilon / 2
     unit = Fraction(1, n * (n + 1))
-    marks = [Fraction(0)] + [instance_cut(inst, agent, i)
+    marks = [Fraction(0)] + [instance_cut(inst, pi, agent, i)
                              for i in range(1, n + 1)]
     bps = [Fraction(0)]
     hs = []
@@ -131,11 +131,11 @@ def reference_verdict(allocation, inst, agents):
 
 def test_adversary_cake_marks_hit_exact_values():
     pi = (3, 1, 4, 2)
-    inst = AdversaryCakeInstance(n=4, pi=pi)
+    inst = AdversaryCakeInstance(4)
     for agent in range(1, 5):
-        d = realized_density(inst, agent)
+        d = realized_density(inst, pi, agent)
         for i in range(1, 5):
-            y = inst.grid_point(i, inst.slots[(agent, i)])
+            y = grid_point(inst, i, inst.slots[(agent, i)])
             assert d.prefix(y) == Fraction(i, 4)
 
 
@@ -148,16 +148,16 @@ def test_adversary_cake_separates_marks_by_rank():
         n = rng.randrange(2, 9)
         pi = list(range(1, n + 1))
         rng.shuffle(pi)
-        inst = AdversaryCakeInstance(n=n, pi=tuple(pi))
+        inst = AdversaryCakeInstance(n)
         agents = list(range(1, n + 1))
         rng.shuffle(agents)
         for agent in agents:
             for i in rng.sample(range(1, n + 1), n):
-                instance_cut(inst, agent, i)
+                instance_cut(inst, pi, agent, i)
         for i in range(1, n + 1):
-            pivot = inst.grid_point(i, i)
+            pivot = grid_point(inst, i, i)
             for a in range(1, n + 1):
-                y = inst.grid_point(i, inst.slots[(a, i)])
+                y = grid_point(inst, i, inst.slots[(a, i)])
                 if pi[a - 1] == i:
                     assert y == pivot
                 elif pi[a - 1] < i:
@@ -168,9 +168,9 @@ def test_adversary_cake_separates_marks_by_rank():
 
 def test_between_grid_values_reveal_nothing():
     """Off the spikes the realized value is pinned by position alone."""
-    inst = AdversaryCakeInstance(n=3, pi=(2, 3, 1))
+    inst = AdversaryCakeInstance(3)
     for agent in (1, 2, 3):
-        d = realized_density(inst, agent)
+        d = realized_density(inst, (2, 3, 1), agent)
         for i in range(4):
             y = Fraction(2 * i + 1, 8)  # midway between grid i and grid i + 1
             assert d.prefix(y) == Fraction(i + 1, 4)
@@ -221,7 +221,7 @@ def test_adversary_backend_rejects_bad_agents():
     backend = AdversaryCakeBackend(3, rank_sess)
     sess = Session(backend, 3)
     third = Fraction(1, 3)
-    mark = sess.submit_round([CutQuery(1, third)])
+    mark = tuple(sess.submit_round([CutQuery(1, third)]))
     assert rank_sess.transcript().round_sizes == (1,)
     for bad in (CutQuery(True, third), CutQuery(1.0, third),
                 CutQuery(0, third), CutQuery(4, third), CutQuery("1", third),
@@ -232,8 +232,8 @@ def test_adversary_backend_rejects_bad_agents():
         assert sess.rounds_used == 1
         assert rank_sess.transcript().round_sizes == (1,)
         assert set(backend.inst.slots) == {(1, 1)}
-    assert sess.submit_round([CutQuery(1, third), EvalQuery(1, mark[0])]) \
-        == [mark[0], Fraction(1, 3)]
+    assert tuple(sess.submit_round([CutQuery(1, third), EvalQuery(1, mark[0])])) \
+        == (mark[0], Fraction(1, 3))
 
 
 def test_reduction_needs_n_items_in_the_rank_session():
@@ -244,16 +244,24 @@ def test_reduction_needs_n_items_in_the_rank_session():
         assert rank_sess.rounds_used == 0  # rejected before the protocol ran
 
 
-def test_hidden_positions_are_checked_when_set():
-    inst = AdversaryCakeInstance(n=3)
-    for bad in ((1, 2, 2), (1, 2), (1, 2, 3, 4), (0, 1, 2)):
-        with pytest.raises(ValueError):
-            inst.pi = bad
-        with pytest.raises(ValueError):
-            AdversaryCakeInstance(n=3, pi=bad)
-    assert inst.pi is None
-    inst.pi = [3, 1, 2]
-    assert inst.pi == (3, 1, 2)
+class BareRanks:
+    """A backend that only holds hidden ranks, checked by nobody else."""
+
+    def __init__(self, ranks):
+        self.ranks = ranks
+
+    def answer_batch(self, queries):
+        raise AssertionError("asked a round")
+
+
+def test_reduction_refuses_hidden_ranks_that_are_not_a_permutation():
+    for bad in ((1, 2, 2), (0, 1, 2), (2, 3, 4)):
+        rank_sess = Session(BareRanks(bad), 2)
+        with pytest.raises(ValueError, match="not a permutation"):
+            run_reduction(protocol(2), 3, rank_sess)
+        assert rank_sess.rounds_used == 0  # rejected before the protocol ran
+    assert run_reduction(protocol(2), 3, Session(HiddenInstance([3, 1, 2]), 2))[0] \
+        == (3, 1, 2)
 
 
 class ReferenceCakeInstance(AdversaryCakeInstance):
@@ -261,14 +269,14 @@ class ReferenceCakeInstance(AdversaryCakeInstance):
     replaced: a mark below i takes the lowest free point, a mark above i
     the highest."""
 
-    def __post_init__(self):
-        super().__post_init__()
+    def __init__(self, n):
+        super().__init__(n)
         self.used = {}  # i -> set of taken c
 
     def take_slot(self, agent, i, relation):
         key = (agent, i)
         if key in self.slots:
-            return self.grid_point(i, self.slots[key])
+            return grid_point(self, i, self.slots[key])
         taken = self.used.setdefault(i, set())
         free = [c for c in range(1, self.n + 1) if c not in taken]
         if not free:
@@ -286,8 +294,8 @@ class ReferenceCakeInstance(AdversaryCakeInstance):
             raise ValueError("bad relation: %r" % (relation,))
         self.slots[key] = c
         taken.add(c)
-        self.points[self.grid_point(i, c)] = key
-        return self.grid_point(i, c)
+        self.points[grid_point(self, i, c)] = key
+        return grid_point(self, i, c)
 
 
 class ReferenceCakeBackend:
@@ -295,7 +303,7 @@ class ReferenceCakeBackend:
     with the agent check that both now make first."""
 
     def __init__(self, n, rank_session):
-        self.inst = ReferenceCakeInstance(n=n)
+        self.inst = ReferenceCakeInstance(n)
         self.rank_session = rank_session
 
     def _grid_index(self, alpha):
@@ -367,7 +375,7 @@ class ReferenceCakeBackend:
     def _point(self, agent, i, relations):
         key = (agent, i)
         if key in self.inst.slots:
-            return self.inst.grid_point(i, self.inst.slots[key])
+            return grid_point(self.inst, i, self.inst.slots[key])
         return self.inst.take_slot(agent, i, relations[key])
 
 
@@ -418,7 +426,7 @@ def test_backend_matches_free_list_reference(data):
                         junk]
         batch = data.draw(st.lists(st.one_of(queries), max_size=8),
                           label="batch")
-        new, ref = (_verdict(session.submit_round, batch)
+        new, ref = (_verdict(lambda: tuple(session.submit_round(batch)))
                     for _, session, _ in sides)
         assert new == ref
         assert sides[0][0].inst.slots == sides[1][0].inst.slots
@@ -447,8 +455,7 @@ def verdicts(perm, k, make_allocation, edit_lists=((),)):
         new = _verdict(lambda: run_reduction(spy, n, rank_sess)[0])
         allocation, inst = seen[0]
         if agents is None:
-            inst.pi = perm
-            agents = [realized_density(inst, p) for p in range(1, n + 1)]
+            agents = [realized_density(inst, perm, p) for p in range(1, n + 1)]
         out.append((new, _verdict(reference_verdict, allocation, inst, agents)))
     return out
 
@@ -468,12 +475,12 @@ def requests_then(batches, owners, slots):
         if slots == "upper":
             if not upper:
                 filled = copy.deepcopy(inst)
-                filled.pi = session.backend.rank_session.backend.ranks
+                pi = session.backend.rank_session.backend.ranks
                 for agent in range(1, n + 1):
-                    realized_density(filled, agent)
+                    realized_density(filled, pi, agent)
                 upper.extend(filled.slots[(owners[i], i)] for i in range(1, n))
             grid = upper
-        edges = ([Fraction(0)] + [inst.grid_point(i, c)
+        edges = ([Fraction(0)] + [grid_point(inst, i, c)
                                   for i, c in enumerate(grid, start=1)]
                  + [Fraction(1)])
         return Allocation(pieces=tuple(zip(edges, edges[1:])),

@@ -73,6 +73,42 @@ def test_expected_queries_matches_average(n, data):
     assert total / n == exact_expected_queries(sched)
 
 
+# The Fraction formulas that the integer schedule and expectation replaced,
+# kept as the reference for the differential test.
+
+def reference_round_sizes(n, k, p):
+    q = n * Fraction(p) - 1
+    if q < 0:
+        return (0,) * k
+    marks = [math.ceil(q * j / k) for j in range(k + 1)]
+    return tuple(marks[j] - marks[j - 1] for j in range(1, k + 1))
+
+
+def reference_expected_queries(n, sizes):
+    total = Fraction(0)
+    prefix = 0
+    issued = sum(sizes)
+    for size in sizes:
+        prefix += size
+        total += Fraction(size, n) * prefix
+    total += Fraction(n - issued, n) * issued
+    return total
+
+
+@given(st.integers(min_value=1, max_value=10 ** 15), st.data())
+def test_integer_schedule_matches_fraction_reference(n, data):
+    k = data.draw(st.integers(min_value=1, max_value=min(n, 300)), label="k")
+    p = data.draw(st.one_of(
+        fractions, st.fractions(min_value=0, max_value=1, max_denominator=10 ** 18),
+        st.sampled_from([0, 1, Fraction(1, n), Fraction(n - 1, n),
+                         Fraction(1, n + 1)])), label="p")
+    sched = build_schedule(n, k, p)
+    assert sched.round_sizes == reference_round_sizes(n, k, p)
+    expected = exact_expected_queries(sched)
+    assert expected.__class__ is Fraction
+    assert expected == reference_expected_queries(n, sched.round_sizes)
+
+
 def test_full_batch_is_charged_on_mid_batch_hit():
     inst = HiddenInstance(tuple(range(1, 11)), target_index=2)
     sess = open_session(inst, 2)
