@@ -10,10 +10,10 @@ every candidate outright. The total stays within k * ceil(n**(1/k)).
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import ceil
 
-from .oracle import EQUAL, LESS, TARGET, ProductBatch, RankQuery
+from .oracle import EQUAL, GREATER, LESS, TARGET, ProductBatch, RankQuery
 from .util import (bernoulli, ceil_kth_root, group_sizes, normalized_weights,
                    useful_rounds)
 
@@ -47,17 +47,19 @@ class RankDistribution:
         return top
 
 
+@lru_cache(maxsize=1024)
 def probe_positions(count, rounds_left):
-    """0-based probe positions among `count` sorted candidates.
+    """0-based probe positions among `count` sorted candidates, as a tuple
+    computed once per (count, rounds_left) while it stays in the cache.
 
     With one round left every candidate is probed. Otherwise the probes
     leave ceil(count**(1/rounds_left)) gaps whose sizes differ by at most
     one, larger gaps first.
     """
     if count <= 1:
-        return []
+        return ()
     if rounds_left <= 1:
-        return list(range(count))
+        return tuple(range(count))
     z = ceil_kth_root(count, rounds_left)
     sizes = group_sizes(count - (z - 1), z)
     positions = []
@@ -66,7 +68,7 @@ def probe_positions(count, rounds_left):
         at += size
         positions.append(at)
         at += 1
-    return positions
+    return tuple(positions)
 
 
 def locate_det_subset(session, n, k, ranks):
@@ -102,17 +104,26 @@ def _locate_sorted(session, n, k, cands):
             # earlier answers pinned the rank exactly, no query needed
             return lo
         assert rounds_left > 0, "plan must resolve within the round budget"
-        # a lone candidate is probed itself
-        probes = [cands[i] for i in probe_positions(len(cands), rounds_left) or (0,)]
+        if rounds_left == 1 or len(cands) == 1:
+            # the last round, or a lone candidate, probes every candidate:
+            # the batch keeps a range or a tuple of them as it is
+            probes = cands
+        else:
+            probes = tuple(map(cands.__getitem__,
+                               probe_positions(len(cands), rounds_left)))
         answers = session.submit_round(ProductBatch(RankQuery, (((TARGET,), probes),)))
         rounds_left -= 1
-        for t, a in zip(probes, answers):
-            if a == EQUAL:
-                return t
-            if a == LESS:
-                hi = min(hi, t - 1)
-            else:
-                lo = max(lo, t + 1)
+        # the probes ascend, so what a scan in probe order concludes from
+        # the answers (`<`, `=` or `>`, consistent or not) is decided by the
+        # first `=`, else the first `<` (the lowest cap) and the last `>`
+        # (the highest floor)
+        if EQUAL in answers:
+            return probes[answers.index(EQUAL)]
+        if LESS in answers:
+            hi = min(hi, probes[answers.index(LESS)] - 1)
+        backwards = answers[::-1]
+        if GREATER in backwards:
+            lo = max(lo, probes[~backwards.index(GREATER)] + 1)
         narrowed = True
 
 

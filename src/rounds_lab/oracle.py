@@ -16,7 +16,10 @@ division backends `cake.DensityBackend` and
 A batch is any iterable of queries, or a `ProductBatch`: the same queries
 given as item × level blocks, which is how every round the algorithms here
 ask is shaped. The session keeps a `ProductBatch` as it is, so a round
-costs no object per query until its transcript's `rounds` is read. Every
+costs no object per query until its transcript's `rounds` is read; a block
+given as a tuple or a `range` is not even copied, so a search's last round,
+which probes a `range` of candidates, costs O(1) to submit and, against
+`HiddenInstance`, O(1) Python steps to answer. Every
 backend reads a batch one way, as the (kind, items, levels) blocks that
 `blocks_of` returns, in one loop: a flat batch is one 1 × 1 block per
 query. A malformed block raises what its first malformed query raises
@@ -28,15 +31,21 @@ as integer numerator and denominator lists. The session keeps and returns
 such a block as it is, so a round costs no `Fraction` per answer until a
 `Fraction` is read from it; algorithms read rational answers as integer
 pairs through `pairs_of`, whichever form they come in.
+
+`HiddenInstance` checks that its ranks are a permutation of 1..n. A
+`range` checks in O(1); a tuple of at least 4096 ranks is checked in full
+once and then remembered, 16 tuples at most, so the instances built over
+one tuple again and again cost O(1) each after the first.
 """
 
 from bisect import bisect_left
-from collections import namedtuple
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import chain, product
 from operator import eq
+from threading import Lock
 
 LESS = "<"
 EQUAL = "="
@@ -66,10 +75,12 @@ class ProductBatch:
     and `blocks` an iterable of (items, levels) pairs. Block
     (items, levels) asks kind(item, level) for each item and, within an
     item, for each level; iterating yields those queries in that order,
-    block after block. The constructor copies every block into a (kind,
-    items tuple, levels tuple) triple of `blocks`, so changing the
-    caller's lists afterwards does not change the batch; nothing here
-    assigns its attributes after that, and callers must not either.
+    block after block. The constructor turns every block into a (kind,
+    items, levels) triple of `blocks`: a tuple or a `range` is kept as it
+    is, being immutable, and anything else is copied into a tuple, so
+    changing the caller's lists afterwards does not change the batch;
+    nothing here assigns its attributes after that, and callers must not
+    either.
     """
 
     __slots__ = ("kind", "blocks", "_size")
@@ -78,8 +89,10 @@ class ProductBatch:
         frozen = []
         size = 0
         for items, levels in blocks:
-            items = tuple(items)
-            levels = tuple(levels)
+            if items.__class__ is not tuple and items.__class__ is not range:
+                items = tuple(items)
+            if levels.__class__ is not tuple and levels.__class__ is not range:
+                levels = tuple(levels)
             size += len(items) * len(levels)
             frozen.append((kind, items, levels))
         self.kind = kind
@@ -180,17 +193,74 @@ def flip(answer):
     return EQUAL
 
 
-def is_identity(ranks):
-    """True when ranks reads 1, 2, ..., len(ranks): O(1) for the range
-    range(1, n + 1), one C-level pass for any other sequence."""
+# Permutations already checked, so that a large tuple of ranks searched many
+# times is checked once. An entry is keyed by the tuple's id and holds the
+# tuple itself, so no other object can take that id while the entry lives,
+# and it counts only for the very tuple (`is`) it holds. Only exact tuples of
+# exact ints get in: nothing in them can change, so a tuple that passed once
+# still passes. Shorter tuples are cheap to check and never kept; past the
+# cap the least recently used entry goes.
+_VALIDATED_MIN_LEN = 4096
+_VALIDATED_CAP = 16
+_validated = OrderedDict()  # id(ranks) -> (ranks, whether ranks reads 1..n)
+_validated_lock = Lock()
+
+
+def _recall(ranks):
+    """Whether remembered ranks read 1..n (True or False), or None when
+    ranks is not remembered."""
+    if ranks.__class__ is not tuple or len(ranks) < _VALIDATED_MIN_LEN:
+        return None
+    key = id(ranks)
+    with _validated_lock:
+        entry = _validated.get(key)
+        if entry is None or entry[0] is not ranks:
+            return None
+        _validated.move_to_end(key)
+    return entry[1]
+
+
+def _remember(ranks, identity):
+    """Remember ranks, which just passed the full permutation check."""
+    if (ranks.__class__ is not tuple or len(ranks) < _VALIDATED_MIN_LEN
+            or set(map(type, ranks)) != {int}):
+        return
+    key = id(ranks)
+    with _validated_lock:
+        _validated[key] = (ranks, identity)
+        _validated.move_to_end(key)
+        while len(_validated) > _VALIDATED_CAP:
+            _validated.popitem(last=False)
+
+
+def _reads_identity(ranks):
     ident = range(1, len(ranks) + 1)
     return ranks == ident or all(map(eq, ranks, ident))
 
 
+def is_identity(ranks):
+    """True when ranks reads 1, 2, ..., len(ranks): O(1) for the range
+    range(1, n + 1) and for a remembered tuple, one C-level pass for any
+    other sequence."""
+    identity = _recall(ranks)
+    if identity is None:
+        identity = _reads_identity(ranks)
+        if identity:
+            _remember(ranks, True)
+    return identity
+
+
 def is_permutation(ranks):
-    """True when ranks is a permutation of 1..len(ranks); the sort only
-    runs when the sequence is not already the identity."""
-    return is_identity(ranks) or sorted(ranks) == list(range(1, len(ranks) + 1))
+    """True when ranks is a permutation of 1..len(ranks): O(1) for a
+    remembered tuple; otherwise the sort only runs when the sequence is not
+    already the identity."""
+    if _recall(ranks) is not None:
+        return True
+    identity = _reads_identity(ranks)
+    if identity or sorted(ranks) == list(range(1, len(ranks) + 1)):
+        _remember(ranks, identity)
+        return True
+    return False
 
 
 @dataclass(frozen=True)
@@ -199,9 +269,12 @@ class HiddenInstance:
 
     ranks[i-1] is the rank of item i. Pass range(1, n + 1) for the sorted
     instance: it validates in O(1) and stores only n and the target, so a
-    search over it costs time in its queries, not in n. target_index, when
-    set, names the item the search tasks ask about; which half of that pair
-    (the index or the rank) is public depends on the task.
+    search over it costs time in its queries, not in n. A tuple of at least
+    4096 ranks is checked once and remembered (see `is_permutation`), so
+    building another instance over the same tuple costs O(1) too.
+    target_index, when set, names the item the search tasks ask about;
+    which half of that pair (the index or the rank) is public depends on
+    the task.
     """
 
     ranks: tuple  # or range(1, n + 1)
@@ -247,7 +320,9 @@ class HiddenInstance:
         after the first threshold and before the rest, as query-by-query
         checking judges it. Against two or more strictly ascending
         thresholds an item's answers are a run of `>`, at most one `=` and
-        a run of `<`, split by one bisect.
+        a run of `<`, split by one bisect. One item against a step-1
+        `range` of thresholds inside 1..n, such as a search's last round,
+        is answered in O(1) Python steps.
         """
         ranks = self.ranks
         n = len(ranks)
@@ -256,7 +331,15 @@ class HiddenInstance:
         for kind, items, ts in blocks_of(batch):
             if not items or not ts:
                 continue  # asks nothing, so nothing in it is judged
-            if kind is RankQuery:
+            if (kind is RankQuery and ts.__class__ is range and len(items) == 1
+                    and ts.step == 1 and ts.start >= 1 and ts.stop <= n + 1):
+                r = self._rank(items[0])
+                below = min(max(r - ts.start, 0), len(ts))  # thresholds under r
+                equal = int(ts.start <= r < ts.stop)
+                out += [GREATER] * below
+                out += [EQUAL] * equal
+                out += [LESS] * (len(ts) - below - equal)
+            elif kind is RankQuery:
                 prev = 0
                 ascending = True
                 for t in ts:
@@ -387,11 +470,12 @@ class Session:
         block = answers.__class__ is RationalAnswers
         if not block:
             answers = tuple(answers)
-        if len(answers) != len(queries):
+        size = len(answers)
+        if size != len(queries):
             raise ValueError("the backend gave %d answers to %d queries"
-                             % (len(answers), len(queries)))
+                             % (size, len(queries)))
         self._batches.append((queries, answers))
-        self._total += len(queries)
+        self._total += size
         return answers if block else list(answers)
 
     def transcript(self):

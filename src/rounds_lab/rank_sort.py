@@ -31,10 +31,6 @@ from .oracle import (EQUAL, GREATER, LESS, MalformedQuery, ProductBatch,
 from .util import ceil_div, ceil_kth_root
 
 
-class InconsistentQuery(Exception):
-    pass
-
-
 class AlgorithmIncorrect(Exception):
     pass
 
@@ -163,8 +159,6 @@ class AdversaryState:
                         raise MalformedQuery("threshold out of range: %r" % (t,))
                     if r is not None:
                         answers[pos] = compare(r, t)
-                    elif seg is None:
-                        raise InconsistentQuery("item %d belongs nowhere" % (item,))
                     elif t < seg.lo:
                         answers[pos] = GREATER
                     elif t > seg.hi:

@@ -5,10 +5,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rounds_lab.locate import (RankDistribution, locate_det, locate_det_dist,
-                               locate_det_subset, locate_rand, probe_positions)
+from rounds_lab.locate import (RankDistribution, _locate_sorted, locate_det,
+                               locate_det_dist, locate_det_subset, locate_rand,
+                               probe_positions)
 from rounds_lab.oracle import (EQUAL, LESS, TARGET, HiddenInstance, RankQuery,
-                               open_session)
+                               Session, open_session)
 from rounds_lab.select import build_schedule, select_det
 from rounds_lab.util import ceil_kth_root, ceil_log2
 from conftest import session_for
@@ -24,9 +25,9 @@ def worst_case(n, k, runner):
 
 
 def test_probe_positions_shape():
-    assert probe_positions(1, 3) == []
-    assert probe_positions(16, 2) == [4, 8, 12]
-    assert probe_positions(5, 1) == [0, 1, 2, 3, 4]
+    assert probe_positions(1, 3) == ()
+    assert probe_positions(16, 2) == (4, 8, 12)
+    assert probe_positions(5, 1) == (0, 1, 2, 3, 4)
 
 
 @given(st.integers(min_value=2, max_value=400),
@@ -212,6 +213,39 @@ def test_bisect_narrowing_matches_reference(n, k, data):
         a, b = identity_sessions(n, k, r)
         assert run(a) == run(b)
         assert a.transcript() == b.transcript()
+
+
+class ScriptedAnswers:
+    """Answers every probe with a symbol drawn from a seeded stream, each
+    round from its own alphabet, so answers may contradict each other and
+    every rank."""
+
+    def __init__(self, seed):
+        self.rng = random.Random(seed)
+
+    def answer_batch(self, batch):
+        alphabet = self.rng.choice(("<=>", "<>", "<>", "<", ">", "<>>>", "<<<>"))
+        return [self.rng.choice(alphabet) for _ in range(len(batch))]
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(min_value=1, max_value=200), st.integers(min_value=1, max_value=8),
+       st.integers(min_value=0, max_value=2 ** 32), st.data())
+def test_round_read_matches_the_scan_on_arbitrary_answers(n, k, seed, data):
+    """Reading a round by its first `=`, first `<` and last `>` ends and
+    narrows each search as the scan in probe order does, against answers
+    no ranking gives."""
+    lo = data.draw(st.integers(min_value=1, max_value=n))
+    hi = data.draw(st.integers(min_value=lo, max_value=n))
+    picked = sorted(set(data.draw(st.lists(st.integers(min_value=1, max_value=n),
+                                           min_size=1))))
+    subsets = [(range(lo, hi + 1), range(lo, hi + 1)), (picked, picked),
+               (tuple(picked), picked)]  # a tuple, as locate_det_dist passes
+    for cands, ref_cands in subsets:
+        new, old = Session(ScriptedAnswers(seed), k), Session(ScriptedAnswers(seed), k)
+        assert (_locate_sorted(new, n, k, cands)
+                == reference_locate_det_subset(old, n, k, ref_cands))
+        assert new.transcript() == old.transcript()
 
 
 @pytest.mark.parametrize("k", [6, 12, 36])

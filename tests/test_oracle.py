@@ -4,15 +4,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from rounds_lab import oracle
 from rounds_lab.cake import CutQuery, DensityBackend, EvalQuery, PiecewiseDensity
 from rounds_lab.oracle import (EQUAL, GREATER, LESS, TARGET, ComparisonQuery,
                                HiddenInstance, MalformedQuery, ProductBatch,
                                RankQuery, RationalAnswers, RoundLimitExceeded,
                                RoundTranscript, Session, compare, flip,
-                               open_session, pairs_of, random_instance)
+                               is_identity, is_permutation, open_session,
+                               pairs_of, random_instance)
 from rounds_lab.rank_sort import AdversaryState
 from rounds_lab.reductions import (AdversaryCakeBackend, LocateComparisonBackend,
-                                   SelectComparisonBackend)
+                                   SelectComparisonBackend,
+                                   ordered_to_locate_adapter, run_reduction)
 from conftest import answers_consistent, session_for, shuffled_ranks, sorted_instance
 
 perms = st.permutations(list(range(1, 7)))
@@ -258,3 +261,99 @@ def test_division_sessions_keep_their_answer_blocks():
         assert [a for _, a in rounds[0]] == list(answers)
         plain = RoundTranscript(batches=((tuple(batch), tuple(answers)),), k_limit=2)
         assert plain == first and hash(plain) == hash(first)
+
+
+# the length from which a tuple of ranks is remembered once checked
+LONG = oracle._VALIDATED_MIN_LEN
+
+
+@pytest.fixture
+def memo():
+    """The memo of checked tuples, empty for the test and emptied after."""
+    oracle._validated.clear()
+    yield oracle._validated
+    oracle._validated.clear()
+
+
+def test_a_list_that_changes_is_checked_again(memo):
+    ranks = list(range(1, LONG + 1))
+    assert HiddenInstance(ranks).n == LONG
+    ranks[0] = 2
+    with pytest.raises(ValueError):
+        HiddenInstance(ranks)
+    assert not is_identity(ranks)
+    ranks[0] = 1
+    HiddenInstance(range(1, LONG + 1))
+    assert HiddenInstance(ranks).n == LONG
+    assert not memo  # lists and ranges are never remembered
+
+
+def test_only_exact_tuples_of_exact_ints_are_remembered(memo):
+    class Ranks(tuple):
+        pass
+
+    for ranks in (Ranks(range(1, LONG + 1)), (True,) + tuple(range(2, LONG + 1)),
+                  tuple(map(float, range(1, LONG + 1))), tuple(range(1, LONG))):
+        assert HiddenInstance(ranks).n == len(ranks)  # passes as before
+    assert not memo
+    ranks = tuple(range(1, LONG + 1))
+    HiddenInstance(ranks)
+    assert list(memo.values()) == [(ranks, True)]
+
+
+def test_a_rejected_tuple_is_rejected_every_time(memo):
+    for bad in (tuple(range(1, LONG)) + (LONG + 1,), tuple(range(1, LONG)) + (1,),
+                (2,) + tuple(range(2, LONG + 1))):
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                HiddenInstance(bad)
+            assert not is_permutation(bad) and not is_identity(bad)
+    assert not memo
+
+
+def test_the_memo_keeps_at_most_its_cap_and_drops_the_least_recent(memo):
+    cap = oracle._VALIDATED_CAP
+    perms = [shuffled_ranks(LONG, seed) for seed in range(cap + 3)]
+    for ranks in perms[:cap]:
+        HiddenInstance(ranks)
+    assert len(memo) == cap
+    HiddenInstance(perms[0])  # a hit makes it the most recent
+    HiddenInstance(perms[cap])
+    assert id(perms[0]) in memo and id(perms[1]) not in memo
+    for ranks in perms:
+        HiddenInstance(ranks)
+        assert len(memo) <= cap
+    assert [entry[0] for entry in memo.values()] == perms[3:]
+    assert all(entry[1] is False for entry in memo.values())
+    HiddenInstance(perms[0])  # an evicted tuple is checked again in full
+    assert id(perms[0]) in memo
+
+
+def test_remembered_tuples_refuse_what_they_refused(memo):
+    """The comparison view still refuses an unsorted tuple and
+    `run_reduction` a non-permutation, on a first sighting and on a hit."""
+
+    class BareRanks:
+        def __init__(self, ranks):
+            self.ranks = ranks
+
+    class Reached(Exception):
+        pass
+
+    def protocol(session, n):
+        raise Reached
+
+    shuffled = shuffled_ranks(LONG, 7)
+    ordered = tuple(range(1, LONG + 1))
+    bad = ordered[:-1] + (1,)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="sorted"):
+            ordered_to_locate_adapter(open_session(HiddenInstance(shuffled, 1), 1))
+        ordered_to_locate_adapter(open_session(HiddenInstance(ordered, 1), 1))
+        with pytest.raises(ValueError, match="not a permutation"):
+            run_reduction(protocol, LONG, Session(BareRanks(bad), 1))
+        for ranks in (shuffled, ordered):  # the check passes and the protocol runs
+            with pytest.raises(Reached):
+                run_reduction(protocol, LONG, Session(BareRanks(ranks), 1))
+    assert {entry[0]: entry[1] for entry in memo.values()} == {
+        shuffled: False, ordered: True}

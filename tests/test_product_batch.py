@@ -115,6 +115,53 @@ def test_malformed_rank_blocks_raise_what_the_flat_batch_raises(n, seed, data):
         inst, flat(ComparisonQuery, blocks))
 
 
+@st.composite
+def threshold_ranges(draw, n, rank=None):
+    """A range of thresholds inside 1..n or reaching past it, of any step,
+    maybe empty; starting at rank, when given, for a view that only serves
+    that threshold."""
+    start = rank or draw(st.integers(min_value=-1, max_value=n + 2))
+    stop = draw(st.integers(min_value=-1, max_value=n + 3))
+    return range(start, stop, draw(st.sampled_from((1, 1, 1, 2, 3, -1, -2))))
+
+
+@settings(deadline=None, max_examples=400)
+@given(st.integers(min_value=1, max_value=9), st.integers(min_value=0, max_value=10 ** 6),
+       st.data())
+def test_range_levels_answer_and_raise_like_their_tuple(n, seed, data):
+    """A rank block whose levels are a range (a search's last round) gets
+    the answers, errors and transcripts the same levels get as a tuple,
+    from the instance and through both comparison views."""
+    ranks = shuffled_ranks(n, seed)
+    target = seed % n + 1
+    refs = st.one_of(st.just(TARGET), st.sampled_from(
+        list(range(1, n + 1)) + list(BAD_REFS) + [n + 1]))
+
+    def draw_blocks(rank=None):
+        return [(data.draw(st.lists(refs, min_size=1, max_size=3)),
+                 data.draw(threshold_ranges(n, rank)))
+                for _ in range(data.draw(st.integers(min_value=1, max_value=3)))]
+
+    def as_tuples(blocks):
+        return [(items, tuple(levels)) for items, levels in blocks]
+
+    blocks = draw_blocks()
+    for inner, promised in ((ranks, target), (range(1, n + 1), target), (ranks, None)):
+        inst = HiddenInstance(inner, target_index=promised)
+        assert outcome(inst, ProductBatch(RankQuery, blocks)) == outcome(
+            inst, ProductBatch(RankQuery, as_tuples(blocks)))
+    for view, inner in ((LocateComparisonBackend, range(1, n + 1)),
+                        (SelectComparisonBackend, ranks)):
+        if view is SelectComparisonBackend and data.draw(st.booleans()):
+            blocks = draw_blocks(HiddenInstance(inner, target_index=target).target_rank)
+        got = []
+        for form in (blocks, as_tuples(blocks)):
+            inner_sess = Session(HiddenInstance(inner, target_index=target), 1)
+            got.append((outcome(view(inner_sess), ProductBatch(RankQuery, form)),
+                        inner_sess.transcript()))
+        assert got[0] == got[1]
+
+
 def test_each_malformed_rank_reference_raises_the_flat_message():
     n = 5
     inst = HiddenInstance(shuffled_ranks(n, 1))  # no promised element

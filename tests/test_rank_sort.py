@@ -8,11 +8,10 @@ from hypothesis import given, settings, strategies as st
 from rounds_lab.oracle import (EQUAL, GREATER, LESS, HiddenInstance,
                                MalformedQuery, RankQuery, RoundLimitExceeded,
                                Session, compare, open_session, random_instance)
-from rounds_lab.rank_sort import (AdversaryState, AlgorithmIncorrect,
-                                  InconsistentQuery, _commit, _read_round,
-                                  block_thresholds, consistent_witness,
-                                  forced_query_count, sort_rank,
-                                  sorting_lower_bound)
+from rounds_lab.rank_sort import (AdversaryState, AlgorithmIncorrect, _commit,
+                                  _read_round, block_thresholds,
+                                  consistent_witness, forced_query_count,
+                                  sort_rank, sorting_lower_bound)
 from rounds_lab.util import ceil_log2
 from conftest import shuffled_ranks
 
@@ -218,6 +217,10 @@ def reference_carve(state, items, lo, hi, local, answers):
         reference_carve(state, tuple(high), lo + x + 1, hi, deeper, answers)
     else:
         assert not deeper
+
+
+class InconsistentQuery(Exception):
+    """The reference found an item in no segment and with no rank."""
 
 
 def reference_round(state, queries):
