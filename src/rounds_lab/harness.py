@@ -15,7 +15,7 @@ from . import cake as cake_mod
 from . import locate as locate_mod
 from . import reductions
 from . import select as select_mod
-from .oracle import HiddenInstance, Session, random_instance
+from .oracle import HiddenInstance, Session, random_ranks
 from .rank_sort import forced_query_count, sort_rank, sorting_lower_bound
 from .util import ceil_div, ceil_kth_root, root_multiple_exceeds, useful_rounds
 
@@ -258,11 +258,11 @@ def _draws(cfg):
 
 
 def _permutations(cfg):
-    """Every permutation of 1..n in exact mode, else one draw per trial."""
+    """Every permutation of 1..n in exact mode, else one draw per trial,
+    checked once the trial builds its instance over it."""
     if cfg.mode == "exact":
         return itertools.permutations(range(1, cfg.n + 1))
-    return (random_instance(cfg.n, rng, with_target=False).ranks
-            for rng in _draws(cfg))
+    return (random_ranks(cfg.n, rng) for rng in _draws(cfg))
 
 
 def _sampled_rate(rate, p, trials):

@@ -114,9 +114,10 @@ def _locate_sorted(session, n, k, cands):
         answers = session.submit_round(ProductBatch(RankQuery, (((TARGET,), probes),)))
         rounds_left -= 1
         # the probes ascend, so what a scan in probe order concludes from
-        # the answers (`<`, `=` or `>`, consistent or not) is decided by the
-        # first `=`, else the first `<` (the lowest cap) and the last `>`
-        # (the highest floor)
+        # the answers (consistent or not) is decided by the first `=`, else
+        # the first `<` (the lowest cap) and the last `>` (the highest
+        # floor). Answers must be `<`, `=` or `>`: any other value is read
+        # as neither a cap nor a floor
         if EQUAL in answers:
             return probes[answers.index(EQUAL)]
         if LESS in answers:

@@ -34,8 +34,9 @@ pairs through `pairs_of`, whichever form they come in.
 
 `HiddenInstance` checks that its ranks are a permutation of 1..n. A
 `range` checks in O(1); a tuple of at least 4096 ranks is checked in full
-once and then remembered, 16 tuples at most, so the instances built over
-one tuple again and again cost O(1) each after the first.
+until its third pass and then remembered, 16 tuples at most, so the
+instances built over one tuple again and again cost O(1) each after that,
+while a tuple checked once or twice and dropped is never held.
 """
 
 from bisect import bisect_left
@@ -193,74 +194,70 @@ def flip(answer):
     return EQUAL
 
 
-# Permutations already checked, so that a large tuple of ranks searched many
-# times is checked once. An entry is keyed by the tuple's id and holds the
-# tuple itself, so no other object can take that id while the entry lives,
-# and it counts only for the very tuple (`is`) it holds. Only exact tuples of
-# exact ints get in: nothing in them can change, so a tuple that passed once
-# still passes. Shorter tuples are cheap to check and never kept; past the
-# cap the least recently used entry goes.
-_VALIDATED_MIN_LEN = 4096
-_VALIDATED_CAP = 16
-_validated = OrderedDict()  # id(ranks) -> (ranks, whether ranks reads 1..n)
-_validated_lock = Lock()
-
-
-def _recall(ranks):
-    """Whether remembered ranks read 1..n (True or False), or None when
-    ranks is not remembered."""
-    if ranks.__class__ is not tuple or len(ranks) < _VALIDATED_MIN_LEN:
-        return None
-    key = id(ranks)
-    with _validated_lock:
-        entry = _validated.get(key)
-        if entry is None or entry[0] is not ranks:
-            return None
-        _validated.move_to_end(key)
-    return entry[1]
-
-
-def _remember(ranks, identity):
-    """Remember ranks, which just passed the full permutation check."""
-    if (ranks.__class__ is not tuple or len(ranks) < _VALIDATED_MIN_LEN
-            or set(map(type, ranks)) != {int}):
-        return
-    key = id(ranks)
-    with _validated_lock:
-        _validated[key] = (ranks, identity)
-        _validated.move_to_end(key)
-        while len(_validated) > _VALIDATED_CAP:
-            _validated.popitem(last=False)
-
-
-def _reads_identity(ranks):
+def is_identity(ranks):
+    """True when ranks reads 1, 2, ..., len(ranks): O(1) for the range
+    range(1, n + 1), one C-level pass for any other sequence."""
     ident = range(1, len(ranks) + 1)
     return ranks == ident or all(map(eq, ranks, ident))
 
 
-def is_identity(ranks):
-    """True when ranks reads 1, 2, ..., len(ranks): O(1) for the range
-    range(1, n + 1) and for a remembered tuple, one C-level pass for any
-    other sequence."""
-    identity = _recall(ranks)
-    if identity is None:
-        identity = _reads_identity(ranks)
-        if identity:
-            _remember(ranks, True)
-    return identity
+# Permutations already checked, so that a large tuple of ranks a caller keeps
+# and builds instances over again and again is checked in full only three
+# times. Only exact tuples of at least 4096 exact ints count: nothing in them
+# can change, so a tuple that passed once still passes, and shorter tuples
+# are cheap to check. Such a tuple is kept from its third full pass on, so one
+# passed once or twice and then dropped (a sorting or reduction trial's fresh
+# permutation, which the instance checks and `run_reduction` checks again) is
+# never held. A kept entry is keyed by the tuple's id and holds the tuple
+# itself, so no other object can take that id while the entry lives, and it
+# counts only for the very tuple (`is`) it holds. The passes before that are
+# counted by id together with the tuple's length and end ranks, holding no
+# tuple, so a new tuple that takes a dropped one's id mostly starts afresh;
+# either way a tuple is kept only right after a full pass of its own. Past
+# the cap the least recently used entry of each table goes.
+_KEEP_MIN_LEN = 4096
+_KEEP_ON_PASS = 3
+_KEEP_CAP = 16
+_kept = OrderedDict()    # id(ranks) -> ranks
+_passes = OrderedDict()  # id(ranks) -> ((len, first, last rank), full passes)
+_memo_lock = Lock()
+
+
+def _trim(table):
+    while len(table) > _KEEP_CAP:
+        table.popitem(last=False)
+
+
+def _passed(key, ranks):
+    """Count a full pass of a long tuple, keeping it from its third on."""
+    mark = (len(ranks), ranks[0], ranks[-1])
+    with _memo_lock:
+        seen, count = _passes.pop(key, (None, 0))
+        count = count + 1 if seen == mark else 1
+        if count >= _KEEP_ON_PASS and set(map(type, ranks)) == {int}:
+            _kept[key] = ranks
+            _trim(_kept)
+        else:
+            _passes[key] = (mark, count)
+            _trim(_passes)
 
 
 def is_permutation(ranks):
-    """True when ranks is a permutation of 1..len(ranks): O(1) for a
-    remembered tuple; otherwise the sort only runs when the sequence is not
-    already the identity."""
-    if _recall(ranks) is not None:
-        return True
-    identity = _reads_identity(ranks)
-    if identity or sorted(ranks) == list(range(1, len(ranks) + 1)):
-        _remember(ranks, identity)
-        return True
-    return False
+    """True when ranks is a permutation of 1..len(ranks): O(1) for a kept
+    tuple; otherwise the sort only runs when the sequence is not already
+    the identity."""
+    long = ranks.__class__ is tuple and len(ranks) >= _KEEP_MIN_LEN
+    if long:
+        key = id(ranks)
+        with _memo_lock:
+            if _kept.get(key) is ranks:
+                _kept.move_to_end(key)
+                return True
+    if not (is_identity(ranks) or sorted(ranks) == list(range(1, len(ranks) + 1))):
+        return False
+    if long:
+        _passed(key, ranks)
+    return True
 
 
 @dataclass(frozen=True)
@@ -270,8 +267,9 @@ class HiddenInstance:
     ranks[i-1] is the rank of item i. Pass range(1, n + 1) for the sorted
     instance: it validates in O(1) and stores only n and the target, so a
     search over it costs time in its queries, not in n. A tuple of at least
-    4096 ranks is checked once and remembered (see `is_permutation`), so
-    building another instance over the same tuple costs O(1) too.
+    4096 ranks is remembered after its third full check (see
+    `is_permutation`), so building more instances over the same tuple costs
+    O(1) too.
     target_index, when set, names the item the search tasks ask about;
     which half of that pair (the index or the rank) is public depends on
     the task.
@@ -470,12 +468,11 @@ class Session:
         block = answers.__class__ is RationalAnswers
         if not block:
             answers = tuple(answers)
-        size = len(answers)
-        if size != len(queries):
+        if len(answers) != len(queries):
             raise ValueError("the backend gave %d answers to %d queries"
-                             % (size, len(queries)))
+                             % (len(answers), len(queries)))
         self._batches.append((queries, answers))
-        self._total += size
+        self._total += len(queries)
         return answers if block else list(answers)
 
     def transcript(self):
@@ -488,8 +485,14 @@ def open_session(instance, k_limit):
     return Session(instance, k_limit)
 
 
-def random_instance(n, rng, with_target=True):
+def random_ranks(n, rng):
+    """A uniformly shuffled tuple of 1..n, not yet checked by an instance."""
     ranks = list(range(1, n + 1))
     rng.shuffle(ranks)
+    return tuple(ranks)
+
+
+def random_instance(n, rng, with_target=True):
+    ranks = random_ranks(n, rng)
     target = rng.randrange(1, n + 1) if with_target else None
-    return HiddenInstance(ranks=tuple(ranks), target_index=target)
+    return HiddenInstance(ranks=ranks, target_index=target)

@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from rounds_lab import oracle
 from rounds_lab.cake import CutQuery, DensityBackend, EvalQuery, PiecewiseDensity
+from rounds_lab.harness import ExperimentConfig, run_experiment
 from rounds_lab.oracle import (EQUAL, GREATER, LESS, TARGET, ComparisonQuery,
                                HiddenInstance, MalformedQuery, ProductBatch,
                                RankQuery, RationalAnswers, RoundLimitExceeded,
@@ -263,29 +266,38 @@ def test_division_sessions_keep_their_answer_blocks():
         assert plain == first and hash(plain) == hash(first)
 
 
-# the length from which a tuple of ranks is remembered once checked
-LONG = oracle._VALIDATED_MIN_LEN
+# the length from which a tuple of ranks is remembered, and the full pass
+# from which it is
+LONG = oracle._KEEP_MIN_LEN
+KEEP = oracle._KEEP_ON_PASS
 
 
 @pytest.fixture
 def memo():
     """The memo of checked tuples, empty for the test and emptied after."""
-    oracle._validated.clear()
-    yield oracle._validated
-    oracle._validated.clear()
+    oracle._kept.clear()
+    oracle._passes.clear()
+    yield oracle._kept
+    oracle._kept.clear()
+    oracle._passes.clear()
+
+
+def build(ranks, times):
+    for _ in range(times):
+        assert HiddenInstance(ranks).n == len(ranks)
 
 
 def test_a_list_that_changes_is_checked_again(memo):
     ranks = list(range(1, LONG + 1))
-    assert HiddenInstance(ranks).n == LONG
+    build(ranks, KEEP + 1)
     ranks[0] = 2
     with pytest.raises(ValueError):
         HiddenInstance(ranks)
     assert not is_identity(ranks)
     ranks[0] = 1
-    HiddenInstance(range(1, LONG + 1))
-    assert HiddenInstance(ranks).n == LONG
-    assert not memo  # lists and ranges are never remembered
+    build(range(1, LONG + 1), KEEP + 1)
+    build(ranks, 1)
+    assert not memo and not oracle._passes  # lists and ranges are never counted
 
 
 def test_only_exact_tuples_of_exact_ints_are_remembered(memo):
@@ -294,44 +306,108 @@ def test_only_exact_tuples_of_exact_ints_are_remembered(memo):
 
     for ranks in (Ranks(range(1, LONG + 1)), (True,) + tuple(range(2, LONG + 1)),
                   tuple(map(float, range(1, LONG + 1))), tuple(range(1, LONG))):
-        assert HiddenInstance(ranks).n == len(ranks)  # passes as before
+        build(ranks, KEEP + 1)  # passes as before
     assert not memo
     ranks = tuple(range(1, LONG + 1))
-    HiddenInstance(ranks)
-    assert list(memo.values()) == [(ranks, True)]
+    build(ranks, KEEP - 1)
+    assert not memo
+    build(ranks, 1)
+    assert list(memo.values()) == [ranks]
+
+
+def test_a_tuple_checked_once_or_twice_is_not_held(memo):
+    """A sampled sort or reduction trial checks its fresh permutation once
+    or twice (the instance, then `run_reduction`); none of them is kept."""
+    for seed in range(oracle._KEEP_CAP + 3):
+        ranks = shuffled_ranks(LONG, seed)
+        HiddenInstance(ranks)
+        assert is_permutation(ranks)
+        assert len(oracle._passes) <= oracle._KEEP_CAP
+    assert not memo
+    # a record left by a dropped tuple whose id a new one takes counts for
+    # the new one only when its length and end ranks match too
+    ranks = shuffled_ranks(LONG, 99)
+    oracle._passes[id(ranks)] = ((LONG, ranks[-1], ranks[0]), KEEP - 1)
+    build(ranks, KEEP - 1)
+    assert not memo
+    build(ranks, 1)
+    assert list(memo.values()) == [ranks]
+
+
+def test_sampled_sort_and_reduce_runs_leave_nothing_remembered(memo):
+    """Each trial checks its fresh permutation at most twice: the instance,
+    then, in a reduction, `run_reduction`. The seeds differ: an equal
+    permutation that takes a dropped one's id counts as the same tuple."""
+    for seed, problem in enumerate(("sort", "reduce")):
+        config = ExperimentConfig(problem=problem, n=LONG, k=8, trials=2,
+                                  seed=seed, mode="mc")
+        assert run_experiment(config).all_pass
+    assert not memo
 
 
 def test_a_rejected_tuple_is_rejected_every_time(memo):
     for bad in (tuple(range(1, LONG)) + (LONG + 1,), tuple(range(1, LONG)) + (1,),
                 (2,) + tuple(range(2, LONG + 1))):
-        for _ in range(3):
+        for _ in range(KEEP + 1):
             with pytest.raises(ValueError):
                 HiddenInstance(bad)
             assert not is_permutation(bad) and not is_identity(bad)
-    assert not memo
+    assert not memo and not oracle._passes
 
 
 def test_the_memo_keeps_at_most_its_cap_and_drops_the_least_recent(memo):
-    cap = oracle._VALIDATED_CAP
+    cap = oracle._KEEP_CAP
     perms = [shuffled_ranks(LONG, seed) for seed in range(cap + 3)]
     for ranks in perms[:cap]:
-        HiddenInstance(ranks)
+        build(ranks, KEEP)
     assert len(memo) == cap
     HiddenInstance(perms[0])  # a hit makes it the most recent
-    HiddenInstance(perms[cap])
+    build(perms[cap], KEEP)
     assert id(perms[0]) in memo and id(perms[1]) not in memo
     for ranks in perms:
-        HiddenInstance(ranks)
-        assert len(memo) <= cap
-    assert [entry[0] for entry in memo.values()] == perms[3:]
-    assert all(entry[1] is False for entry in memo.values())
-    HiddenInstance(perms[0])  # an evicted tuple is checked again in full
+        build(ranks, KEEP)
+        assert len(memo) <= cap and len(oracle._passes) <= cap
+    assert list(memo.values()) == perms[3:]
+    build(perms[0], KEEP - 1)  # an evicted tuple is checked again in full
+    assert id(perms[0]) not in memo
+    build(perms[0], 1)
     assert id(perms[0]) in memo
+
+
+def test_threads_sharing_the_memo_keep_it_bounded_and_right(memo):
+    cap = oracle._KEEP_CAP
+    perms = [shuffled_ranks(LONG, seed) for seed in range(cap + 4)]
+    bad = perms[0][:-1] + (1,)
+    failures = []
+
+    def work(offset):
+        try:
+            for i in range(40):
+                assert is_permutation(perms[(offset + i) % len(perms)])
+                assert not is_permutation(bad)
+        except Exception as exc:  # reported by the main thread
+            failures.append(exc)
+
+    threads = [threading.Thread(target=work, args=(3 * i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not failures
+    assert 0 < len(memo) <= cap and len(oracle._passes) <= cap
+    assert all(key == id(ranks) for key, ranks in memo.items())
 
 
 def test_remembered_tuples_refuse_what_they_refused(memo):
     """The comparison view still refuses an unsorted tuple and
-    `run_reduction` a non-permutation, on a first sighting and on a hit."""
+    `run_reduction` a non-permutation, before and after the tuples it
+    accepts are remembered."""
 
     class BareRanks:
         def __init__(self, ranks):
@@ -346,7 +422,7 @@ def test_remembered_tuples_refuse_what_they_refused(memo):
     shuffled = shuffled_ranks(LONG, 7)
     ordered = tuple(range(1, LONG + 1))
     bad = ordered[:-1] + (1,)
-    for _ in range(2):
+    for _ in range(KEEP + 1):
         with pytest.raises(ValueError, match="sorted"):
             ordered_to_locate_adapter(open_session(HiddenInstance(shuffled, 1), 1))
         ordered_to_locate_adapter(open_session(HiddenInstance(ordered, 1), 1))
@@ -355,5 +431,4 @@ def test_remembered_tuples_refuse_what_they_refused(memo):
         for ranks in (shuffled, ordered):  # the check passes and the protocol runs
             with pytest.raises(Reached):
                 run_reduction(protocol, LONG, Session(BareRanks(ranks), 1))
-    assert {entry[0]: entry[1] for entry in memo.values()} == {
-        shuffled: False, ordered: True}
+    assert set(memo.values()) == {shuffled, ordered}
