@@ -4,6 +4,7 @@ stdout or a file, exit 0 only when every pass column is true."""
 import argparse
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import cake as cake_mod
 from . import harness
@@ -21,7 +22,10 @@ KNOWN_ERRORS = (harness.InfeasibleExact, harness.SearchSpaceTooLarge,
                 ValueError, OSError)
 
 
+@cache
 def build_parser():
+    """The one parser of this process. parse_args leaves a parser as it
+    is, so every call still starts from the defaults below."""
     parser = argparse.ArgumentParser(
         prog="rounds-lab",
         description="simulate round-limited query algorithms and check "

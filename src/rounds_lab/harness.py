@@ -333,7 +333,7 @@ def _run_select(cfg):
                 _at_least("success_rate", rate, p))
         return _measure(cfg, (select_mod.build_schedule(n, k, p),), trial, judge)
     analytic = p * select_mod.exact_expected_queries(
-        select_mod.build_schedule(n, k, Fraction(1)))
+        select_mod.full_schedule(n, k))
     target = n  # any fixed index; the shuffled order makes them all alike
     ranks = range(1, n + 1)
 

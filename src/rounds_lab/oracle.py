@@ -48,6 +48,8 @@ from itertools import chain, product
 from operator import eq
 from threading import Lock
 
+from .util import shuffled
+
 LESS = "<"
 EQUAL = "="
 GREATER = ">"
@@ -487,9 +489,7 @@ def open_session(instance, k_limit):
 
 def random_ranks(n, rng):
     """A uniformly shuffled tuple of 1..n, not yet checked by an instance."""
-    ranks = list(range(1, n + 1))
-    rng.shuffle(ranks)
-    return tuple(ranks)
+    return tuple(shuffled(n, rng))
 
 
 def random_instance(n, rng, with_target=True):

@@ -8,11 +8,12 @@ round is covered by a single closing guess.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
 from operator import mul, sub
 
 from .oracle import EQUAL, ProductBatch, RankQuery, is_permutation
-from .util import bernoulli
+from .util import bernoulli, shuffled
 
 
 @dataclass(frozen=True)
@@ -50,6 +51,14 @@ def build_schedule(n, k, p):
     return SelectSchedule(n=n, k=k, p=p, round_sizes=sizes)
 
 
+@lru_cache(maxsize=4)
+def full_schedule(n, k):
+    """build_schedule(n, k, 1), kept for the last few (n, k) asked: a
+    sampled row builds it once, not once per trial. Few are kept because a
+    schedule holds k sizes and k may reach n."""
+    return build_schedule(n, k, Fraction(1))
+
+
 def select_det(session, schedule, probe_order):
     """Probe along probe_order per the schedule; if the rank never surfaces,
     guess the first unprobed index. A batch is charged in full even when
@@ -85,9 +94,7 @@ def select_rand(session, n, k, p, rng):
     """
     if not bernoulli(p, rng):
         return None
-    order = list(range(1, n + 1))
-    rng.shuffle(order)
-    return _probe(session, build_schedule(n, k, Fraction(1)), order)
+    return _probe(session, full_schedule(n, k), shuffled(n, rng))
 
 
 def exact_expected_queries(schedule):

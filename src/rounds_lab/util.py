@@ -110,6 +110,27 @@ def bernoulli(p, rng):
     return rng.getrandbits(64) * den < num << 64
 
 
+def shuffled(n, rng):
+    """The list 1..n in the order rng.shuffle leaves list(range(1, n + 1)),
+    with rng, a random.Random, left in the same state.
+
+    For i = n - 1 down to 1, random.Random.shuffle draws
+    j = getrandbits(m.bit_length()) with m = i + 1, again while j >= m, and
+    swaps items i and j. This is that loop, without shuffle's Python-level
+    helper call per position.
+    """
+    items = list(range(1, n + 1))
+    getrandbits = rng.getrandbits
+    for i in range(n - 1, 0, -1):
+        m = i + 1
+        bits = m.bit_length()
+        j = getrandbits(bits)
+        while j >= m:
+            j = getrandbits(bits)
+        items[i], items[j] = items[j], items[i]
+    return items
+
+
 def normalized_weights(ws):
     ws = tuple(Fraction(w) for w in ws)
     if any(w < 0 for w in ws):

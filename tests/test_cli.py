@@ -112,6 +112,33 @@ def test_cake_file_must_match_n(tmp_path, capsys):
     assert code == 2
 
 
+def test_the_shared_parser_carries_nothing_between_calls(tmp_path, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    plain = ["cake", "--n", "2", "--k", "1", "--mode", "mc", "--trials", "3"]
+    code, first, _ = run_cli(capsys, *plain)
+    assert code == 0 and first.startswith("problem,")
+    cake = tmp_path / "two.cake"
+    cake.write_text("0 1 1\n0 1 1\n")
+    svg = tmp_path / "run.svg"
+    code, out, _ = run_cli(capsys, *plain, "--p", "1/2", "--cake-file",
+                           str(cake), "--format", "svg", "--out", str(svg))
+    assert code == 0 and out == "" and svg.read_text().startswith("<svg")
+    # the defaults come back: p = 1, sampled agents, csv on stdout
+    code, out, _ = run_cli(capsys, *plain)
+    assert code == 0 and out == first
+    fresh = cli.build_parser.__wrapped__()
+    assert cli.build_parser().parse_args(plain) == fresh.parse_args(plain)
+
+
+def test_a_rejected_call_leaves_the_parser_usable(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["locate", "--n", "ten", "--k", "1", "--p", "1/2"])
+    assert exc.value.code == 2
+    code, out, err = run_cli(capsys, "locate", "--n", "10", "--k", "1")
+    assert code == 0 and "invalid int" in err
+    assert parse_rows(out)[0]["p"] == "1.0"
+
+
 def test_missing_required_flags():
     with pytest.raises(SystemExit):
         cli.main(["locate", "--n", "4"])

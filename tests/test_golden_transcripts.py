@@ -17,11 +17,11 @@ import pytest
 
 from rounds_lab.cake import proportional_protocol, random_density, run_proportional
 from rounds_lab.locate import RankDistribution, locate_det, locate_det_dist
-from rounds_lab.oracle import HiddenInstance, Session, open_session
+from rounds_lab.oracle import HiddenInstance, Session, open_session, random_ranks
 from rounds_lab.rank_sort import AdversaryState as new_adversary, sort_rank
 from rounds_lab.reductions import (ordered_to_locate_adapter, run_reduction,
                                    unordered_to_select_adapter)
-from rounds_lab.select import build_schedule, select_det
+from rounds_lab.select import build_schedule, select_det, select_rand
 from conftest import shuffled_ranks
 
 LOCATE_GRID = [(1, 1), (2, 1), (9, 2), (64, 3), (100, 4), (1000, 2), (1024, 10),
@@ -60,6 +60,28 @@ def select_runs():
             order = list(shuffled_ranks(n, seed + 100))
             sess = open_session(inst, k)
             yield select_det(sess, sched, order), sess.transcript().rounds
+
+
+def select_rand_runs():
+    # each run also records the next draw, so a probe order drawn from
+    # another stream, or the same order left at another state, shows
+    for n, k, p in [(1, 1, 1), (1, 1, 0), (2, 2, 1), (10, 3, Fraction(1, 2)),
+                    (12, 12, 1), (64, 4, 1), (100, 8, Fraction(3, 4)),
+                    (50, 2, 0), (200, 5, Fraction(1, 3))]:
+        for seed in range(4):
+            rng = random.Random(seed)
+            inst = HiddenInstance(shuffled_ranks(n, seed + 50),
+                                  target_index=seed % n + 1)
+            sess = open_session(inst, k)
+            got = select_rand(sess, n, k, p, rng)
+            yield got, sess.transcript().rounds, rng.random()
+
+
+def random_ranks_runs():
+    for n in (0, 1, 2, 3, 31, 32, 33, 100, 257, 1000):
+        for seed in range(5):
+            rng = random.Random(seed * 1000 + n)
+            yield random_ranks(n, rng), rng.random()
 
 
 SORT_GRID = [(1, 1), (2, 1), (17, 1), (40, 2), (64, 3), (130, 4), (256, 2)]
@@ -126,6 +148,10 @@ GOLDEN = {
                        "fa40954f45f8591918ee6776a840ea4e01e7f98ffc592ee53f6c576c424f84fc"),
     "select_det": (select_runs,
                   "2d80e11748455081889ab28da5d06e18255438788bb9b6e53d13675cae23b146"),
+    "select_rand": (select_rand_runs,
+                    "4a9c4c52d909ca6872e479759836e142e675ff504737f19b43aa1a50dada56f0"),
+    "random_ranks": (random_ranks_runs,
+                     "5c68dd0b17ce944cae9a8e043e9ef374d6ff11664b367dcdafd10e1a631db30e"),
     "sort_rank_oracle": (sort_oracle_runs,
                         "3a36e0f9b9f618a28eed103dcb8136f365e1614a37dcfa51eea2f4a099fe3c13"),
     "sort_rank_opponent": (sort_opponent_runs,

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from rounds_lab.oracle import HiddenInstance, open_session
 from rounds_lab.select import (build_schedule, exact_expected_queries,
-                               select_det, select_rand)
+                               full_schedule, select_det, select_rand)
 from conftest import shuffled_ranks
 
 fractions = st.fractions(min_value=0, max_value=1, max_denominator=60)
@@ -150,3 +150,17 @@ def test_zero_schedule_still_guesses():
     assert got == 1
     assert sess.transcript().total_queries == 0
     assert sess.rounds_used == 0
+
+
+def test_full_schedule_memo_stays_bounded():
+    full_schedule.cache_clear()
+    bound = full_schedule.cache_info().maxsize
+    rng = random.Random(3)
+    for n in range(2, bound + 8):
+        sess = open_session(HiddenInstance(range(1, n + 1), target_index=1), 2)
+        assert select_rand(sess, n, 2, Fraction(1), rng) is not None
+        assert full_schedule.cache_info().currsize <= bound
+    assert full_schedule.cache_info().currsize == bound
+    for n, k in [(1, 1), (10, 3), (64, 64), (100, 8), (1000, 7)]:
+        assert full_schedule(n, k) == build_schedule(n, k, Fraction(1))
+    assert full_schedule.cache_info().currsize <= bound

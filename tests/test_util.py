@@ -3,10 +3,11 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from rounds_lab.util import (bernoulli, ceil_div, ceil_kth_root, ceil_log2,
-                             normalized_weights, root_multiple_exceeds)
+                             normalized_weights, root_multiple_exceeds,
+                             shuffled)
 
 
 @given(st.integers(min_value=0, max_value=10 ** 9),
@@ -116,3 +117,16 @@ def test_root_multiple_exceeds_at_exact_roots_and_huge_k():
     assert not root_multiple_exceeds(10 ** 6, 3, 10 ** 6, 2 * 10 ** 6)
     assert root_multiple_exceeds(10 ** 6, 3, 10 ** 6, 10 ** 6 + 1)
     assert root_multiple_exceeds(3, 10 ** 400, 3, 10 ** 7)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(min_value=0, max_value=2 ** 64))
+def test_shuffled_draws_what_shuffle_draws(seed):
+    # the same permutation and the same generator state afterwards, so a
+    # CPython whose shuffle draws otherwise fails here, not in a transcript
+    for n in list(range(71)) + [257, 4096]:
+        want_rng, got_rng = random.Random(seed), random.Random(seed)
+        want = list(range(1, n + 1))
+        want_rng.shuffle(want)
+        assert shuffled(n, got_rng) == want, n
+        assert got_rng.getstate() == want_rng.getstate(), n
