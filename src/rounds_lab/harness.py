@@ -7,6 +7,7 @@ import itertools
 import math
 import os
 import random
+import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -215,6 +216,11 @@ def _guard(cfg, cost, kk=1, once=(0, 0), runs=()):
         raise (InfeasibleExact if exact else OverBudget)(
             (what + " may need more than %d queries, the %s budget")
             % (cfg.problem, budget, BUDGET_ENV))
+    if not exact and cfg.n > sys.maxsize:
+        # a sampled trial takes len() of its instance, which stops at
+        # sys.maxsize; ROADMAP direction 5 lifts this limit
+        raise ValueError("a sampled %s run takes n up to %d"
+                         % (cfg.problem, sys.maxsize))
 
 
 def _mean_ci(counts):

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import ceil
 
-from .oracle import EQUAL, GREATER, LESS, TARGET, ProductBatch, RankQuery
+from .oracle import TARGET, ProductBatch, RankQuery, read_run
 from .util import (bernoulli, ceil_kth_root, group_sizes, normalized_weights,
                    useful_rounds)
 
@@ -113,18 +113,14 @@ def _locate_sorted(session, n, k, cands):
                                probe_positions(len(cands), rounds_left)))
         answers = session.submit_round(ProductBatch(RankQuery, (((TARGET,), probes),)))
         rounds_left -= 1
-        # the probes ascend, so what a scan in probe order concludes from
-        # the answers (consistent or not) is decided by the first `=`, else
-        # the first `<` (the lowest cap) and the last `>` (the highest
-        # floor). Answers must be `<`, `=` or `>`: any other value is read
-        # as neither a cap nor a floor
-        if EQUAL in answers:
-            return probes[answers.index(EQUAL)]
-        if LESS in answers:
-            hi = min(hi, probes[answers.index(LESS)] - 1)
-        backwards = answers[::-1]
-        if GREATER in backwards:
-            lo = max(lo, probes[~backwards.index(GREATER)] + 1)
+        # the probes ascend, so the round is one run
+        hit, first_less, last_greater = read_run(answers)
+        if hit >= 0:
+            return probes[hit]
+        if first_less >= 0:
+            hi = min(hi, probes[first_less] - 1)
+        if last_greater >= 0:
+            lo = max(lo, probes[last_greater] + 1)
         narrowed = True
 
 

@@ -25,12 +25,14 @@ backend reads a batch one way, as the (kind, items, levels) blocks that
 query. A malformed block raises what its first malformed query raises
 when the same queries are checked one at a time, item-major.
 
-Answers are a list of whatever the backend computes, or, from the two
-division backends, a `RationalAnswers` block: the batch's rational answers
-as integer numerator and denominator lists. The session keeps and returns
-such a block as it is, so a round costs no `Fraction` per answer until a
+A rank or comparison batch is answered with one `str`, one symbol (`<`,
+`=` or `>`) per query, so a round costs one byte per answer; `read_run`
+reads an item's run of it. The two division backends answer with a
+`RationalAnswers` block: the batch's rational answers as integer numerator
+and denominator lists, so a round costs no `Fraction` per answer until a
 `Fraction` is read from it; algorithms read rational answers as integer
-pairs through `pairs_of`, whichever form they come in.
+pairs through `pairs_of`, whichever form they come in. Either block is
+immutable, and the session keeps and returns it as it is.
 
 `HiddenInstance` checks that its ranks are a permutation of 1..n. A
 `range` checks in O(1); a tuple of at least 4096 ranks is checked in full
@@ -187,13 +189,20 @@ def compare(a, b):
     return GREATER
 
 
-def flip(answer):
-    """Swap the roles of the two sides of a comparison answer."""
-    if answer == LESS:
-        return GREATER
-    if answer == GREATER:
-        return LESS
-    return EQUAL
+def read_run(run):
+    """Read one item's answers to probes at ascending thresholds, a `str`:
+    (first `=`, first `<`, last `>`), each an index into the run or -1
+    when absent, the last two -1 whenever there is an `=`.
+
+    What a scan in threshold order concludes from the run, consistent or
+    not, is decided by the first `=`, else by the first `<` (the lowest
+    cap) and the last `>` (the highest floor). A symbol other than `<`,
+    `=` and `>` reads as neither a cap nor a floor.
+    """
+    hit = run.find(EQUAL)
+    if hit >= 0:
+        return hit, -1, -1
+    return -1, run.find(LESS), run.rfind(GREATER)
 
 
 def is_identity(ranks):
@@ -314,7 +323,8 @@ class HiddenInstance:
         raise MalformedQuery("bad item reference: %r" % (ref,))
 
     def answer_batch(self, batch):
-        """Answer one batch; every answer is a function of the instance only.
+        """Answer one batch as a `str` of symbols; every answer is a
+        function of the instance only.
 
         A rank block checks its thresholds once. Its first item is judged
         after the first threshold and before the rest, as query-by-query
@@ -336,9 +346,8 @@ class HiddenInstance:
                 r = self._rank(items[0])
                 below = min(max(r - ts.start, 0), len(ts))  # thresholds under r
                 equal = int(ts.start <= r < ts.stop)
-                out += [GREATER] * below
-                out += [EQUAL] * equal
-                out += [LESS] * (len(ts) - below - equal)
+                out.append(GREATER * below + EQUAL * equal
+                           + LESS * (len(ts) - below - equal))
             elif kind is RankQuery:
                 prev = 0
                 ascending = True
@@ -364,11 +373,9 @@ class HiddenInstance:
                             out.append(LESS if r < t else EQUAL if r == t else GREATER)
                         continue
                     below = bisect_left(ts, r)  # thresholds under the rank
-                    out += [GREATER] * below
-                    if below < width and ts[below] == r:
-                        out.append(EQUAL)
-                        below += 1
-                    out += [LESS] * (width - below)
+                    equal = int(below < width and ts[below] == r)
+                    out.append(GREATER * below + EQUAL * equal
+                               + LESS * (width - below - equal))
             elif kind is ComparisonQuery:
                 rank = self._rank
                 for left in items:
@@ -382,7 +389,7 @@ class HiddenInstance:
             else:
                 raise MalformedQuery("unknown query type: %r"
                                      % (query_at(kind, items[0], ts[0]),))
-        return out
+        return "".join(out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -399,7 +406,8 @@ class RoundTranscript:
     """
 
     # one (queries, answers) pair per round; queries is a tuple or a
-    # ProductBatch, answers a tuple or a RationalAnswers block
+    # ProductBatch, answers the block the backend gave: a str of symbols
+    # or a RationalAnswers block
     batches: tuple
     k_limit: int
 
@@ -457,9 +465,11 @@ class Session:
 
         `queries` is an iterable of queries, copied into a tuple, or a
         `ProductBatch`, which is immutable and kept as it is. Either way
-        the transcript records the queries in iteration order. The answers
-        come back as a list, or as the backend's `RationalAnswers` block,
-        which is immutable and kept and returned as it is.
+        the transcript records the queries in iteration order. The backend
+        answers with one immutable block, one answer per query: a `str` of
+        `<`, `=` and `>` for rank and comparison queries, a
+        `RationalAnswers` block for division queries. The session counts
+        it, keeps it in the transcript and returns it as it is.
         """
         if len(self._batches) >= self.k_limit:
             raise RoundLimitExceeded(
@@ -467,15 +477,12 @@ class Session:
         if queries.__class__ is not ProductBatch:
             queries = tuple(queries)
         answers = self.backend.answer_batch(queries)
-        block = answers.__class__ is RationalAnswers
-        if not block:
-            answers = tuple(answers)
         if len(answers) != len(queries):
             raise ValueError("the backend gave %d answers to %d queries"
                              % (len(answers), len(queries)))
         self._batches.append((queries, answers))
         self._total += len(queries)
-        return answers if block else list(answers)
+        return answers
 
     def transcript(self):
         return RoundTranscript(batches=tuple(self._batches),

@@ -26,8 +26,8 @@ step and its m steps cost O(m*P).
 from dataclasses import dataclass
 from math import e
 
-from .oracle import (EQUAL, GREATER, LESS, MalformedQuery, ProductBatch,
-                     RankQuery, Session, blocks_of, compare)
+from .oracle import (GREATER, LESS, MalformedQuery, ProductBatch, RankQuery,
+                     Session, blocks_of, compare, read_run)
 from .util import ceil_div, ceil_kth_root
 
 
@@ -46,9 +46,11 @@ def sort_rank(session, n, k):
     """Rank of every item, as a tuple indexed by item - 1.
 
     Each round is one `ProductBatch` of (items, thresholds) blocks, and
-    each item's answers are read off three string searches (`_read_round`),
-    so a round costs Python steps per item and per block, not per query.
-    No query object is built unless the transcript's `rounds` is read.
+    the session answers it with one string, one symbol per query. Each
+    item's run of it is read by `oracle.read_run`'s three string searches
+    (`_read_round`), so a round costs Python steps per item and per block,
+    not per query. No query object is built unless the transcript's
+    `rounds` is read.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -78,36 +80,32 @@ def _read_round(plan, answers, resolved):
     """Fold one round's answers into `resolved`; returns the blocks still
     open, keyed by span.
 
-    Every item of a block was probed at the block's thresholds, which
-    ascend, so its answers (each one of the symbols `<`, `=`, `>`) are one
-    slice of the joined answer string. An
-    `=` pins the item at its threshold. Otherwise the first `<` caps the
-    item's span and the last `>` raises its floor; that is what a
-    threshold-by-threshold scan finds too, even for inconsistent answers.
+    `answers` is the round's answer string. Every item of a block was
+    probed at the block's thresholds, which ascend, so its answers are one
+    slice of the string, read by `read_run`. An `=` pins the item at its
+    threshold. Otherwise the first `<` caps the item's span and the last
+    `>` raises its floor; that is what a threshold-by-threshold scan finds
+    too, even for inconsistent answers.
     """
-    s = "".join(answers)
     pending = {}
     pos = 0
     for lo, hi, ts, items in plan:
         width = len(ts)
         for item in items:
-            end = pos + width
-            hit = s.find(EQUAL, pos, end)
+            hit, first_less, last_greater = read_run(answers[pos:pos + width])
             if hit >= 0:
-                resolved[item] = ts[hit - pos]
+                resolved[item] = ts[hit]
             else:
                 top, bottom = hi, lo
-                first_less = s.find(LESS, pos, end)
                 if first_less >= 0:
-                    top = min(hi, ts[first_less - pos] - 1)
-                last_greater = s.rfind(GREATER, pos, end)
+                    top = min(hi, ts[first_less] - 1)
                 if last_greater >= 0:
-                    bottom = max(lo, ts[last_greater - pos] + 1)
+                    bottom = max(lo, ts[last_greater] + 1)
                 if bottom == top:
                     resolved[item] = bottom
                 else:
                     pending.setdefault((bottom, top), []).append(item)
-            pos = end
+            pos += width
     return pending
 
 
@@ -137,7 +135,8 @@ class AdversaryState:
             self.segments.append(Segment(items=tuple(range(1, n + 1)), lo=1, hi=n))
 
     def answer_batch(self, batch):
-        """Answer one batch while committing as little order as possible."""
+        """Answer one batch, as a `str` of symbols, while committing as
+        little order as possible."""
         n = self.n
         resolved = self.resolved
         answers = [None] * len(batch)
@@ -169,7 +168,7 @@ class AdversaryState:
         self.segments = [s for s in self.segments if id(s) not in by_segment]
         for seg, local in by_segment.values():
             _carve(self, seg.items, seg.lo, seg.hi, local, answers)
-        return answers
+        return "".join(answers)
 
 
 def _commit(state, items, lo, hi):

@@ -35,11 +35,13 @@ from operator import itemgetter
 from .cake import CutQuery, EvalQuery, check_agent, check_allocation
 from .oracle import (LESS, GREATER, ComparisonQuery, MalformedQuery,
                      ProductBatch, RankQuery, RationalAnswers, Session, TARGET,
-                     blocks_of, compare, flip, is_identity, is_permutation,
+                     blocks_of, compare, is_identity, is_permutation,
                      query_at)
 
 
 _ZERO = Fraction(0)
+# swaps the two sides of comparison answers
+_FLIP = str.maketrans(LESS + GREATER, GREATER + LESS)
 
 
 class ProtocolNotPrimitive(Exception):
@@ -104,8 +106,8 @@ class SelectComparisonBackend:
                 raise MalformedQuery(
                     "this view only serves rank probes at the promised rank")
             blocks.append(((TARGET,), [item for item in items for _ in ts]))
-        answers = self.inner.submit_round(ProductBatch(ComparisonQuery, blocks))
-        return [flip(a) for a in answers]
+        return self.inner.submit_round(
+            ProductBatch(ComparisonQuery, blocks)).translate(_FLIP)
 
 
 def unordered_to_select_adapter(comparison_session):

@@ -79,9 +79,9 @@ def _probe(session, schedule, probe_order):
         batch = probe_order[at:at + size]
         answers = session.submit_round(ProductBatch(RankQuery, ((batch, (r,)),)))
         at += size
-        for i, a in zip(batch, answers):
-            if a == EQUAL:
-                return i
+        hit = answers.find(EQUAL)
+        if hit >= 0:
+            return batch[hit]
     return probe_order[at]  # at <= n - 1 since the budget tops out at n*p - 1
 
 

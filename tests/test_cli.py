@@ -180,6 +180,26 @@ def test_sampled_runs_over_the_budget_are_refused(capsys, monkeypatch):
         assert err.startswith(error + ": ") and err.count("\n") == 1
 
 
+def test_sampled_searches_take_n_up_to_sys_maxsize(capsys, monkeypatch):
+    """Past sys.maxsize a sampled locate or select run is refused before
+    any trial, as a known error; up to it, and in an exact select row, it
+    runs."""
+    monkeypatch.delenv(harness.BUDGET_ENV, raising=False)
+    mc2 = ("--mode", "mc", "--trials", "2")
+    for n in (sys.maxsize + 1, 10 ** 30):
+        for argv in (("locate", "--n", str(n), "--k", "64") + mc2,
+                     ("select", "--n", str(n), "--k", "3", "--p", "0") + mc2):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert err.startswith("ValueError: ") and err.count("\n") == 1, argv
+    for argv in (("locate", "--n", str(sys.maxsize), "--k", "64") + mc2,
+                 ("select", "--n", str(sys.maxsize), "--k", "3", "--p", "0") + mc2,
+                 ("select", "--n", str(10 ** 30), "--k", "3", "--p", "1/3")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == "", argv
+        assert parse_rows(out)[0]["pass"] == "true", argv
+
+
 def run_cli_process(argv):
     src = os.path.dirname(os.path.dirname(os.path.abspath(rounds_lab.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

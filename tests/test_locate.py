@@ -225,7 +225,7 @@ class ScriptedAnswers:
 
     def answer_batch(self, batch):
         alphabet = self.rng.choice(("<=>", "<>", "<>", "<", ">", "<>>>", "<<<>"))
-        return [self.rng.choice(alphabet) for _ in range(len(batch))]
+        return "".join([self.rng.choice(alphabet) for _ in range(len(batch))])
 
 
 @settings(deadline=None, max_examples=300)

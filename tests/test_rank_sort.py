@@ -68,7 +68,7 @@ def test_opponent_starves_a_lone_probe():
     """One probed item among four: the unprobed three grab the low ranks."""
     state = AdversaryState(4)
     answers = state.answer_batch([RankQuery(1, 1)])
-    assert answers == [GREATER]
+    assert answers == GREATER
     assert state.resolved == {1: 4}
     assert [(tuple(s.items), s.lo, s.hi) for s in state.segments] == [((2, 3, 4), 1, 3)]
     assert consistent_witness(state) == (4, 1, 2, 3)
@@ -78,7 +78,7 @@ def test_opponent_everything_probed_pins_rank_one():
     """All four probed at 1: no starving set, the first item pins at 1."""
     state = AdversaryState(4)
     answers = state.answer_batch([RankQuery(i, 1) for i in (1, 2, 3, 4)])
-    assert answers == [EQUAL, GREATER, GREATER, GREATER]
+    assert answers == EQUAL + GREATER + GREATER + GREATER
     assert state.resolved == {1: 1}
     assert [(tuple(s.items), s.lo, s.hi) for s in state.segments] == [((2, 3, 4), 2, 4)]
 
@@ -93,7 +93,7 @@ def test_opponent_trace_two_thresholds():
     low = next(s for s in state.segments if s.lo == 1)
     high = next(s for s in state.segments if s.lo == 4)
     assert tuple(low.items) == (4, 5) and tuple(high.items) == (2, 3)
-    assert answers == [GREATER, GREATER, GREATER, LESS, LESS]
+    assert answers == GREATER + GREATER + GREATER + LESS + LESS
 
 
 def test_opponent_forces_floor():
@@ -243,7 +243,7 @@ def reference_round(state, queries):
     for seg, local in by_segment.values():
         state.segments.remove(seg)
         reference_carve(state, seg.items, seg.lo, seg.hi, local, answers)
-    return answers
+    return "".join(answers)
 
 
 class ReferenceOpponent:
@@ -415,7 +415,7 @@ class ScriptedBackend:
         self.symbols = symbols
 
     def answer_batch(self, queries):
-        return [self.rng.choice(self.symbols) for _ in queries]
+        return "".join([self.rng.choice(self.symbols) for _ in queries])
 
 
 @settings(deadline=None, max_examples=200)
@@ -463,7 +463,7 @@ def test_read_round_matches_reference_reading(blocks, rounds_left, data):
                                  min_size=len(queries), max_size=len(queries)),
                         label="answers")
     resolved, ref_resolved = {}, {}
-    assert _read_round(plan, answers, resolved) == reference_read(
+    assert _read_round(plan, "".join(answers), resolved) == reference_read(
         spans, queries, answers, ref_resolved)
     assert resolved == ref_resolved
 
