@@ -14,10 +14,14 @@ from actual densities.
 Answers are exact and cost no `Fraction`. A `PiecewiseDensity` keeps
 integer images of itself next to its public `Fraction` fields: breakpoints
 and prefix masses over common denominators, and two integer constants per
-segment. It validates on those integers, and a cut or an eval is one
-bisect and a few integer products giving a numerator and a denominator.
-`DensityBackend` answers a whole block that way into a `RationalAnswers`
-block; `cut` and `prefix` wrap the same pair in one `Fraction`.
+segment. It validates on those integers. Within a segment a cut and an
+eval are affine in the level, so a density answers ascending levels p/D,
+over one common denominator D, in runs: a bisect finds the segment of the
+lowest level left and another ends its run of levels there, and the run's
+numerators are one affine map of its p, a single `range` when the p are
+one, over one denominator. `DensityBackend` answers a whole block that
+way into a `RationalAnswers` block; `cut` and `prefix` are the one-level
+case, wrapped in one `Fraction`.
 `run_proportional` reads the marks as integer pairs: `assign_subcakes`
 orders them by float first, settles float ties by cross-multiplication,
 and builds a `Fraction` only for each boundary it picks.
@@ -29,6 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from numbers import Rational
+from operator import itemgetter
 
 from .oracle import (MalformedQuery, ProductBatch, RationalAnswers,
                      Session as CakeSession, blocks_of, pairs_of, query_at)
@@ -115,38 +120,42 @@ class PiecewiseDensity:
         object.__setattr__(self, "_ks", [h * b - c for h, b, c in zip(hn, bpn, cumn)])
         object.__setattr__(self, "_ls", [bden * h for h in hn])
 
-    def _cuts(self, levels, nums, dens):
-        """Append cut(p/q) to nums and dens, as a numerator and a positive
-        denominator, for each (p, q) of levels, 0 <= p <= q."""
-        cumn, ks, ls, mden = self._cumn, self._ks, self._ls, self._mden
-        put_num, put_den = nums.append, dens.append
-        for p, q in levels:
-            if not p:
-                put_num(0)
-                put_den(1)
-                continue
-            pm = p * mden
-            # zero-height plateaus repeat in _cumn, so bisect_left lands on
-            # the first segment that actually gains mass, keeping the cut
-            # leftmost
-            i = bisect_left(cumn, -(-pm // q)) - 1
-            put_num(q * ks[i] + pm)
-            put_den(q * ls[i])
-
-    def _prefixes(self, levels, nums, dens):
-        """Append prefix(p/q) to nums and dens, as a numerator and a
-        positive denominator, for each (p, q) of levels, 0 <= p <= q."""
-        bpn, ks, ls, bden, mden = self._bpn, self._ks, self._ls, self._bden, self._mden
-        last = len(ls)
-        put_num, put_den = nums.append, dens.append
-        for p, q in levels:
-            i = bisect_right(bpn, p * bden // q) - 1
-            if i == last:
-                put_num(1)
-                put_den(1)
+    def _answers(self, cut, P, D, nums, dens):
+        """Append cut(p/D), or prefix(p/D) when cut is false, to nums and
+        dens as a numerator and a positive denominator, for each p of P,
+        ascending numerators in [0, D]."""
+        ks, ls, mden = self._ks, self._ls, self._mden
+        # a cut's segment is where the mass reaches the level, an eval's
+        # where the point lies
+        edges, scale = (self._cumn, mden) if cut else (self._bpn, self._bden)
+        j0 = bisect_right(P, 0)
+        if j0:
+            nums += [0] * j0
+            dens += [1] * j0
+        end = len(P)
+        while j0 < end:
+            # the lowest level left lies in (edges[i], edges[i + 1]] / scale,
+            # and its run is every level up to that segment's end. A
+            # zero-height plateau has equal edges, so it takes no cut and
+            # each cut is the leftmost; prefix is continuous, so a point on
+            # a breakpoint may take the segment on its left
+            i = bisect_left(edges, -(-P[j0] * scale // D)) - 1
+            j1 = bisect_right(P, edges[i + 1] * D // scale, j0)
+            if cut:
+                a, b, den = mden, D * ks[i], D * ls[i]
             else:
-                put_num(p * ls[i] - q * ks[i])
-                put_den(q * mden)
+                a, b, den = ls[i], -D * ks[i], D * mden
+            if j1 - j0 == 1:  # most runs of a short block: no slice, no list
+                nums.append(a * P[j0] + b)
+                dens.append(den)
+            else:
+                run = P[j0:j1]
+                if a and run.__class__ is range:
+                    nums += range(a * run.start + b, a * run.stop + b, a * run.step)
+                else:
+                    nums += [a * p + b for p in run]
+                dens += [den] * len(run)
+            j0 = j1
 
     def prefix(self, y):
         if y.__class__ is not Fraction:
@@ -155,7 +164,7 @@ class PiecewiseDensity:
         if p < 0 or p > q:
             raise ValueError("point outside [0, 1]")
         nums, dens = [], []
-        self._prefixes(((p, q),), nums, dens)
+        self._answers(False, [p], q, nums, dens)
         return Fraction(nums[0], dens[0])
 
     def cut(self, alpha):
@@ -163,13 +172,30 @@ class PiecewiseDensity:
         if alpha.__class__ is not Fraction:
             alpha = Fraction(alpha)
         p, q = alpha.numerator, alpha.denominator
-        if not 0 < p <= q:
-            if p:
-                raise ValueError("alpha outside [0, 1]")
-            return self.breakpoints[0]
+        if p < 0 or p > q:
+            raise ValueError("alpha outside [0, 1]")
         nums, dens = [], []
-        self._cuts(((p, q),), nums, dens)
+        self._answers(True, [p], q, nums, dens)
         return Fraction(nums[0], dens[0])
+
+
+def _numerators(levels):
+    """Rational levels in [0, 1] over their least common denominator D:
+    (P, D, gather). P holds the numerators in ascending order, as a
+    `range` when more than two of them form an arithmetic progression.
+    gather is None when the levels already ascend, else it takes answers
+    in P's order back to the levels' order."""
+    qs = [x.denominator for x in levels]
+    D = lcm(*qs)
+    P = [x.numerator * (D // q) for x, q in zip(levels, qs)]
+    ascending = sorted(P)
+    gather = None if ascending == P else itemgetter(
+        *[bisect_left(ascending, p) for p in P])
+    if len(P) > 2 and ascending[1] > ascending[0]:
+        run = range(ascending[0], ascending[-1] + 1, ascending[1] - ascending[0])
+        if len(run) == len(P) and list(run) == ascending:
+            return run, D, gather
+    return ascending, D, gather
 
 
 @dataclass(frozen=True)
@@ -228,10 +254,17 @@ class DensityBackend:
     def answer_batch(self, batch):
         """Answer one batch block by block into a `RationalAnswers` block:
         a cut block asks its agents' `cut`, an eval block their `prefix`,
-        at the block's levels. A `PiecewiseDensity` answers from its
-        integer images with no `Fraction` made; any other density is asked
-        its own `cut` or `prefix`, and the result's numerator and
-        denominator are kept.
+        at the block's levels. The levels are put once per block over
+        their least common denominator D, as ascending numerators: a
+        `range` when they form a progression, as j/n for j = 1..n-1 do. A
+        `PiecewiseDensity` answers them from its integer images, one
+        affine run per segment and no `Fraction` made; levels that do not
+        ascend are answered in ascending order and gathered back into
+        block order. Any other density is asked its own `cut` or `prefix`,
+        and the result's numerator and denominator are kept. The pairs
+        equal the answers but are not in lowest terms; levels with large
+        coprime denominators make D, and so each pair, as long as their
+        product.
 
         A block's levels are checked once, each agent before its levels,
         and every agent is asked for the answers ahead of the first bad
@@ -244,11 +277,8 @@ class DensityBackend:
         for kind, ids, xs in blocks_of(batch):
             if not ids or not xs:
                 continue
-            if kind is CutQuery:
-                name, images = "cut", PiecewiseDensity._cuts
-            elif kind is EvalQuery:
-                name, images = "prefix", PiecewiseDensity._prefixes
-            else:
+            cut = kind is CutQuery
+            if not cut and kind is not EvalQuery:
                 raise MalformedQuery("unknown division query: %r"
                                      % (query_at(kind, ids[0], xs[0]),))
             good = 0  # levels ahead of the first bad one
@@ -258,19 +288,24 @@ class DensityBackend:
                     break
                 good += 1
             ok = xs[:good]
-            levels = [(x.numerator, x.denominator) for x in ok]
+            P, D, gather = _numerators(ok)
             for agent in ids:
                 check_agent(agent, n)
                 density = agents[agent - 1]
-                if density.__class__ is PiecewiseDensity:
-                    images(density, levels, nums, dens)
-                else:
-                    for y in map(getattr(density, name), ok):
+                if density.__class__ is not PiecewiseDensity:
+                    for y in map(density.cut if cut else density.prefix, ok):
                         nums.append(y.numerator)
                         dens.append(y.denominator)
+                elif gather is None:
+                    density._answers(cut, P, D, nums, dens)
+                else:
+                    run_nums, run_dens = [], []
+                    density._answers(cut, P, D, run_nums, run_dens)
+                    nums += gather(run_nums)
+                    dens += gather(run_dens)
                 if good < len(xs):
                     raise MalformedQuery("%s is not a rational in [0, 1]: %r" % (
-                        "cut argument" if kind is CutQuery else "eval point",
+                        "cut argument" if cut else "eval point",
                         xs[good]))
         return RationalAnswers(nums, dens)
 

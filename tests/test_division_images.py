@@ -263,6 +263,60 @@ def test_backend_pairs_match_cut_and_prefix():
                      PiecewiseDensity.prefix)
 
 
+def _level_blocks(d):
+    """Level blocks of every shape a block can take: each j/n (the
+    protocol's one-round block), ascending levels off a progression, the
+    density's own prefix masses and breakpoints, duplicates, unsorted
+    levels, the ends as int, Fraction and bool, and single levels."""
+    F = Fraction
+    blocks = [[F(j, n) for j in range(1, n)] for n in (2, 3, 7, 24, 64)]
+    blocks += [
+        [F(1, 7), F(1, 3), F(1, 2), F(5, 6), F(99, 100)],
+        sorted(set(reference_cum(d.breakpoints, d.heights))),
+        list(d.breakpoints),
+        [F(1, 3), F(1, 3), F(1, 2), F(1, 2), F(1, 2)],
+        [F(2, 5)] * 3,
+        [F(3, 4), F(1, 5), F(1, 2), F(1, 5), 0, 1, F(1, 5)],
+        [F(j, 9) for j in range(8, 0, -1)],
+        [0, F(0), 1, F(1), True, False],
+        [1, 0], [F(2, 3)], [0], [1], [True], [F(0)],
+    ]
+    return blocks
+
+
+def test_backend_blocks_match_the_fraction_formulas():
+    """Every answer of a cut or eval block, of every level shape, equals the
+    plain-Fraction formula for its query, over densities with zero-height
+    first, middle and last segments and over cake-file densities."""
+    sampled = _densities()
+    # the hand-built plateau cases close _densities()
+    densities = sampled[-6:] + sampled[:32:4] + _cake_file_densities()
+    for d in densities:
+        for xs in _level_blocks(d):
+            _pairs_match(CutQuery, [d, d], xs, reference_cut)
+            _pairs_match(EvalQuery, [d, d], xs, reference_prefix)
+
+
+def test_a_bad_level_mid_block_answers_ahead_then_raises():
+    """A block with a bad level raises the message a flat batch of the same
+    queries raises, and the levels ahead of it answer as the formulas do; a
+    bad agent ahead of every answer raises first."""
+    F = Fraction
+    densities = _densities()[-6:-3] + _cake_file_densities()[:1]
+    ids = range(1, len(densities) + 1)
+    for kind, name in ((CutQuery, "cut argument"), (EvalQuery, "eval point")):
+        for bad in (F(3, 2), F(-1, 5), 0.5, None):
+            xs = [F(1, 3), F(1, 2), bad, F(1, 4)]
+            block = ProductBatch(kind, [(ids, xs)])
+            want = "%s is not a rational in [0, 1]: %r" % (name, bad)
+            assert _answer(densities, block) == want
+            assert _answer(densities, list(block)) == want
+            assert _answer(densities, ProductBatch(kind, [([0] + list(ids), xs)])) == (
+                "agent out of range: 0")
+        ask = reference_cut if kind is CutQuery else reference_prefix
+        _pairs_match(kind, densities, [F(1, 3), F(1, 2)], ask)
+
+
 class Logged:
     """A density that is not a `PiecewiseDensity`: it forwards `cut` and
     `prefix` and logs every call."""

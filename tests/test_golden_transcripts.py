@@ -99,9 +99,9 @@ def sort_opponent_runs():
         yield sort_rank(sess, n, k), sess.transcript().rounds
 
 
-def agent_densities(seed, n):
+def agent_densities(seed, n, denom=12):
     rng = random.Random(seed)
-    return [random_density(rng, max_pieces=4, denom=12) for _ in range(n)]
+    return [random_density(rng, max_pieces=4, denom=denom) for _ in range(n)]
 
 
 CAKE_GRID = [(1, 1), (2, 1), (13, 1), (20, 2), (50, 3), (9, 5), (64, 2)]
@@ -110,6 +110,14 @@ CAKE_GRID = [(1, 1), (2, 1), (13, 1), (20, 2), (50, 3), (9, 5), (64, 2)]
 def proportional_runs():
     for n, k in CAKE_GRID:
         allocation, tx = proportional_protocol(agent_densities(n * 10 + k, n), k)
+        yield allocation, tx.rounds
+
+
+def large_proportional_runs():
+    # the benchmark's sizes and draw (denominators 24), where k = 1 asks
+    # every agent for every multiple of 1/n in one block
+    for n, k in [(256, 1), (256, 2), (128, 3)]:
+        allocation, tx = proportional_protocol(agent_densities(n * 10 + k, n, 24), k)
         yield allocation, tx.rounds
 
 
@@ -158,6 +166,8 @@ GOLDEN = {
                           "6d2dca93589dfc7dca98340c42ea64e4bf79558d822456c0c58d7d016dfa8bfc"),
     "proportional_protocol": (proportional_runs,
                              "8a90db4ab127d553305c52a6dd4fe2d1c9402dfda366e34c3f09c99b9f1fce95"),
+    "proportional_protocol_large": (large_proportional_runs,
+                                   "fae7554bcccdfcc3fe39ea1af0eff861342b12cea50c56a92172d754dff91f22"),
     "run_reduction": (reduction_runs,
                      "bc92fd424f6efbf17af03f6f5044ba52c2311d28c7f4417d14637f4a0d65e368"),
     "locate_view": (locate_view_runs,
