@@ -222,15 +222,16 @@ def is_identity(ranks):
 # never held. A kept entry is keyed by the tuple's id and holds the tuple
 # itself, so no other object can take that id while the entry lives, and it
 # counts only for the very tuple (`is`) it holds. The passes before that are
-# counted by id together with the tuple's length and end ranks, holding no
-# tuple, so a new tuple that takes a dropped one's id mostly starts afresh;
-# either way a tuple is kept only right after a full pass of its own. Past
-# the cap the least recently used entry of each table goes.
+# counted by id together with the tuple's length, its end ranks and their
+# types (True and 1.0 equal 1), holding no tuple, so a new tuple that
+# takes a dropped one's id mostly starts afresh; either way a tuple is kept
+# only right after a full pass of its own. Past the cap the least recently
+# used entry of each table goes.
 _KEEP_MIN_LEN = 4096
 _KEEP_ON_PASS = 3
 _KEEP_CAP = 16
 _kept = OrderedDict()    # id(ranks) -> ranks
-_passes = OrderedDict()  # id(ranks) -> ((len, first, last rank), full passes)
+_passes = OrderedDict()  # id(ranks) -> (mark of len and end ranks, full passes)
 _memo_lock = Lock()
 
 
@@ -241,7 +242,8 @@ def _trim(table):
 
 def _passed(key, ranks):
     """Count a full pass of a long tuple, keeping it from its third on."""
-    mark = (len(ranks), ranks[0], ranks[-1])
+    first, last = ranks[0], ranks[-1]
+    mark = (len(ranks), first.__class__, first, last.__class__, last)
     with _memo_lock:
         seen, count = _passes.pop(key, (None, 0))
         count = count + 1 if seen == mark else 1

@@ -320,6 +320,19 @@ def test_only_exact_tuples_of_exact_ints_are_remembered(memo):
     assert list(memo.values()) == [ranks]
 
 
+def test_a_tuple_equal_only_by_value_leaves_its_id_no_passes(memo):
+    """Passes counted for a tuple whose ranks equal an int permutation's
+    only as values (True for 1, floats) do not carry over to an int tuple
+    that takes its id once it is dropped."""
+    ranks = tuple(range(1, LONG + 1))
+    for other in ((True,) + ranks[1:], tuple(map(float, ranks))):
+        for _ in range(KEEP + 1):
+            oracle._passed(id(ranks), other)  # as if `other` held this id
+        build(ranks, KEEP - 1)
+        assert not memo
+        oracle._passes.clear()
+
+
 def test_a_tuple_checked_once_or_twice_is_not_held(memo):
     """A sampled sort or reduction trial checks its fresh permutation once
     or twice (the instance, then `run_reduction`); none of them is kept."""
