@@ -31,6 +31,7 @@ from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from numbers import Rational
 from operator import itemgetter
@@ -64,8 +65,6 @@ class PiecewiseDensity:
                     for t in self.breakpoints)
         hs = tuple(h if h.__class__ is Fraction else Fraction(h)
                    for h in self.heights)
-        object.__setattr__(self, "breakpoints", bps)
-        object.__setattr__(self, "heights", hs)
         if len(bps) != len(hs) + 1:
             raise ValueError("need exactly one more breakpoint than heights")
         if bps[0] != 0 or bps[-1] != 1:
@@ -91,7 +90,7 @@ class PiecewiseDensity:
         if acc != mden:
             raise ValueError("total mass must be exactly 1, got %s"
                              % (Fraction(acc, mden),))
-        self._set_images(bpn, bden, hn, cumn, mden)
+        self._set_images(bps, hs, bpn, bden, hn, cumn, mden)
 
     @classmethod
     def _from_images(cls, breakpoints, heights, bpn, bden, hn, hden):
@@ -100,25 +99,23 @@ class PiecewiseDensity:
         every check of the constructor, and bpn[j]/bden and hn[j]/hden
         equal breakpoint j and height j."""
         self = object.__new__(cls)
-        object.__setattr__(self, "breakpoints", breakpoints)
-        object.__setattr__(self, "heights", heights)
         acc = 0
         cumn = [0]
         for h, a, b in zip(hn, bpn, bpn[1:]):
             acc += h * (b - a)
             cumn.append(acc)
-        self._set_images(bpn, bden, hn, cumn, bden * hden)
+        self._set_images(breakpoints, heights, bpn, bden, hn, cumn, bden * hden)
         return self
 
-    def _set_images(self, bpn, bden, hn, cumn, mden):
+    def _set_images(self, breakpoints, heights, bpn, bden, hn, cumn, mden):
         # on segment j, cut(p/q) = (q*ks[j] + p*mden) / (q*ls[j]) and
-        # prefix(p/q) = (p*ls[j] - q*ks[j]) / (q*mden)
-        object.__setattr__(self, "_bpn", bpn)
-        object.__setattr__(self, "_bden", bden)
-        object.__setattr__(self, "_cumn", cumn)
-        object.__setattr__(self, "_mden", mden)
-        object.__setattr__(self, "_ks", [h * b - c for h, b, c in zip(hn, bpn, cumn)])
-        object.__setattr__(self, "_ls", [bden * h for h in hn])
+        # prefix(p/q) = (p*ls[j] - q*ks[j]) / (q*mden). The instance is
+        # frozen, so every field goes in by one update of its __dict__
+        self.__dict__.update(
+            breakpoints=breakpoints, heights=heights, _bpn=bpn, _bden=bden,
+            _cumn=cumn, _mden=mden,
+            _ks=[h * b - c for h, b, c in zip(hn, bpn, cumn)],
+            _ls=[bden * h for h in hn])
 
     def _answers(self, cut, P, D, nums, dens):
         """Append cut(p/D), or prefix(p/D) when cut is false, to nums and
@@ -214,7 +211,9 @@ def check_allocation(allocation, n):
         raise MalformedAllocation("need exactly one slice per agent")
     edge = Fraction(0)
     for lo, hi in pieces:
-        if lo != edge or hi < lo:
+        # a protocol's pieces share their boundary objects, so `is` mostly
+        # settles the first test without a Fraction comparison
+        if (lo is not edge and lo != edge) or hi < lo:
             raise MalformedAllocation("slices must tile [0, 1] in order")
         edge = hi
     if edge != 1:
@@ -230,13 +229,29 @@ def verify_proportional(allocation, agents):
     pieces, owners = allocation.pieces, allocation.owners
     check_allocation(allocation, n)
     piece_of = {owner: piece for piece, owner in zip(pieces, owners)}
+    ok = True
     values = []
     for agent_id in range(1, n + 1):
         lo, hi = piece_of[agent_id]
         d = agents[agent_id - 1]
-        values.append(d.prefix(hi) - d.prefix(lo))
-    share = Fraction(1, n)
-    return all(v >= share for v in values), values
+        if d.__class__ is PiecewiseDensity:
+            # both ends in one pass over their common denominator D; an
+            # eval's numerator is over D * mden (at point 0 it is 0 over 1)
+            lo = lo if lo.__class__ is Fraction else Fraction(lo)
+            hi = hi if hi.__class__ is Fraction else Fraction(hi)
+            D = lcm(lo.denominator, hi.denominator)
+            ends = []
+            d._answers(False, [lo.numerator * (D // lo.denominator),
+                               hi.numerator * (D // hi.denominator)], D, ends, [])
+            num, den = ends[1] - ends[0], D * d._mden
+            value = Fraction(num, den)
+        else:
+            value = d.prefix(hi) - d.prefix(lo)
+            num, den = value.numerator, value.denominator
+        if n * num < den:  # worth less than 1/n to her
+            ok = False
+        values.append(value)
+    return ok, values
 
 
 def check_agent(agent, n):
@@ -488,9 +503,20 @@ def random_density(rng, max_pieces=4, denom=24):
     total = sum(weights)
     # weight w over [a/denom, b/denom] is height (w/total) / ((b - a)/denom);
     # the edges are the breakpoints' integer images over denom
-    heights = tuple(Fraction(w * denom, total * (b - a))
-                    for w, a, b in zip(weights, edges, edges[1:]))
+    heights = tuple([_fraction(w * denom, total * (b - a))
+                     for w, a, b in zip(weights, edges, edges[1:])])
     hden = lcm(*[h.denominator for h in heights])
     return PiecewiseDensity._from_images(
-        tuple(Fraction(c, denom) for c in edges), heights, edges, denom,
+        itemgetter(*edges)(_grid(denom)), heights, edges, denom,
         [h.numerator * (hden // h.denominator) for h in heights], hden)
+
+
+@lru_cache(maxsize=16)
+def _grid(denom):
+    """The breakpoints c/denom for c = 0..denom, as `Fraction`s."""
+    return tuple([Fraction(c, denom) for c in range(denom + 1)])
+
+
+# the heights random_density draws repeat across draws: the default shape
+# has 831 distinct (numerator, denominator) pairs, so each is built once
+_fraction = lru_cache(maxsize=4096)(Fraction)

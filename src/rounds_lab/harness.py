@@ -359,12 +359,11 @@ def _run_select(cfg):
 def _run_sort(cfg):
     n, k = cfg.n, cfg.k
     # a run asks at most 2k*n**(1+1/k) queries and so does the forced
-    # count, except that at k = 1 its opponent scans all n(n - 1) probes
-    # at each of n carve steps; rounds past log2 n ask nothing more
+    # count, whose opponent does O(n) work per carve step and takes at
+    # most n steps; rounds past log2 n ask nothing more
     kk = useful_rounds(n, k)
     cap = (2 * kk * n, 0)
-    _guard(cfg, cap, kk, once=cap if kk > 1 else (0, n ** 3),
-           runs=range(2, n + 1))
+    _guard(cfg, cap, kk, once=cap, runs=range(2, n + 1))
 
     def trial(perm):
         sess = Session(HiddenInstance(perm), k)

@@ -15,19 +15,26 @@ them, and repeats on the rest within the same round. Everything it says
 stays consistent with at least one total order, which forces any correct
 sorter to pay for the separations it needs.
 
-Each such step costs O(m + P) for a stretch of m items holding P probes:
-one pass records every item's lowest probed rank, and one counting pass
-over those finds x. A batch maps every open item to its stretch once.
-The steps run as a loop, so the stack depth does not grow with n. A sorter
-with one round probes every item at every inner rank, so x = 0 at every
-step and its m steps cost O(m*P).
+A round's probes reach the opponent as (items, thresholds) blocks, and an
+open item's thresholds inside its stretch in one block are one pending
+run. The opponent keeps every item's lowest pending threshold, and the
+number of items at each threshold, from step to step, so a step costs
+O(m) for a stretch of m items: a downward scan of those counts finds x,
+the pinned item's runs are split by one bisect, the packed items' runs
+are answered `<`, and only the items with a threshold at or below the cut
+move past it, by one bisect per run. A resolved item is answered by one
+bisect. The steps run as a loop, so the stack depth does not grow with n.
+A sorter with one round probes every item at every inner rank, so x = 0
+at every step and its n steps cost O(n**2), one symbol per probe asked.
 """
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import e
+from operator import itemgetter
 
-from .oracle import (GREATER, LESS, MalformedQuery, ProductBatch, RankQuery,
-                     Session, blocks_of, compare, read_run)
+from .oracle import (EQUAL, GREATER, LESS, MalformedQuery, ProductBatch,
+                     RankQuery, Session, blocks_of, read_run)
 from .util import ceil_div, ceil_kth_root
 
 
@@ -136,39 +143,83 @@ class AdversaryState:
 
     def answer_batch(self, batch):
         """Answer one batch, as a `str` of symbols, while committing as
-        little order as possible."""
+        little order as possible.
+
+        Each (items, thresholds) block is read once. Its thresholds are
+        checked once, after its first item and before the rest, which is
+        what query-by-query checking in item-major order raises; nothing
+        is committed before the whole batch has passed. Thresholds that do
+        not ascend are answered sorted and gathered back into block order.
+        A resolved item's answers are one bisect's `>`/`=`/`<` run; an open
+        item's thresholds inside its segment become one pending run, which
+        `_carve` answers.
+        """
         n = self.n
         resolved = self.resolved
-        answers = [None] * len(batch)
         segment_of = {item: seg for seg in self.segments for item in seg.items}
-        by_segment = {}
-        pos = 0
+        out = []  # each (block, item)'s answers, in batch order
+        gathers = []  # (first slot, item count, gather) per block not ascending
+        by_segment = {}  # id(seg) -> (seg, {item: [pending runs]})
         for kind, items, ts in blocks_of(batch):
-            if not ts:
+            if not ts or not items:
                 continue  # asks nothing, so nothing in it is judged
-            if items and kind is not RankQuery:
+            if kind is not RankQuery:
                 raise MalformedQuery("the opponent only serves rank queries")
+            _check_item(items[0], n)
+            prev = 0
+            ascending = True
+            for t in ts:
+                if not (t.__class__ is int and 1 <= t <= n):
+                    raise MalformedQuery("threshold out of range: %r" % (t,))
+                if t < prev:
+                    ascending = False
+                prev = t
+            if not ascending:
+                sts = sorted(ts)
+                gathers.append((len(out), len(items),
+                                itemgetter(*[bisect_left(sts, t) for t in ts])))
+                ts = sts
+            width = len(ts)
             for item in items:
                 if not (item.__class__ is int and 1 <= item <= n):
-                    raise MalformedQuery("item index out of range: %r" % (item,))
+                    _check_item(item, n)
                 r = resolved.get(item)
-                seg = segment_of.get(item)
-                for t in ts:
-                    if not (t.__class__ is int and 1 <= t <= n):
-                        raise MalformedQuery("threshold out of range: %r" % (t,))
-                    if r is not None:
-                        answers[pos] = compare(r, t)
-                    elif t < seg.lo:
-                        answers[pos] = GREATER
-                    elif t > seg.hi:
-                        answers[pos] = LESS
-                    else:
-                        by_segment.setdefault(id(seg), (seg, []))[1].append((pos, item, t))
-                    pos += 1
+                if r is not None:
+                    below = bisect_left(ts, r)
+                    equal = bisect_right(ts, r, below) - below
+                    out.append(GREATER * below + EQUAL * equal
+                               + LESS * (width - below - equal))
+                    continue
+                seg = segment_of[item]
+                below = bisect_left(ts, seg.lo)
+                end = bisect_right(ts, seg.hi, below)
+                if below == end:
+                    out.append(GREATER * below + LESS * (width - below))
+                    continue
+                # slot, thresholds, first pending, end of the pending ones
+                run = [len(out), ts, below, end]
+                out.append(None)
+                entry = by_segment.get(id(seg))
+                if entry is None:
+                    entry = by_segment[id(seg)] = (seg, {})
+                rs = entry[1].get(item)
+                if rs is None:
+                    entry[1][item] = [run]
+                else:
+                    rs.append(run)
         self.segments = [s for s in self.segments if id(s) not in by_segment]
-        for seg, local in by_segment.values():
-            _carve(self, seg.items, seg.lo, seg.hi, local, answers)
-        return "".join(answers)
+        for seg, runs in by_segment.values():
+            _carve(self, seg.items, seg.lo, seg.hi, runs, out)
+        for first, count, gather in gathers:
+            for slot in range(first, first + count):
+                out[slot] = "".join(gather(out[slot]))
+        return "".join(out)
+
+
+def _check_item(item, n):
+    """Raise MalformedQuery unless item is an int in 1..n."""
+    if not (item.__class__ is int and 1 <= item <= n):
+        raise MalformedQuery("item index out of range: %r" % (item,))
 
 
 def _commit(state, items, lo, hi):
@@ -182,52 +233,95 @@ def _commit(state, items, lo, hi):
         state.segments.append(Segment(items=items, lo=lo, hi=hi))
 
 
-def _carve(state, items, lo, hi, local, answers):
-    """Answer the probes `local` on one open segment and commit the order
-    they force, one loop step per pinned item."""
-    # local: (answer position, item, threshold) with thresholds in [lo, hi]
-    while local:
-        m = hi - lo + 1
-        lowest = dict.fromkeys(items, hi)  # lowest probed threshold, capped at hi
-        for _, item, t in local:
-            if t < lowest[item]:
-                lowest[item] = t
-        count = [0] * (m + 1)  # items by lowest probed offset, 1..m
-        for t in lowest.values():
-            count[t - lo + 1] += 1
+def _carve(state, items, lo, hi, runs, out):
+    """Answer the pending runs on one open segment and commit the order
+    they force, one loop step per pinned item.
+
+    `runs` maps each probed item to its pending runs [slot, ts, i, end]:
+    ts ascends, and ts[i:end] are the run's unanswered thresholds, all in
+    [lo, hi]; the slot's answers are written once the run is decided. Each
+    item's lowest pending threshold (hi when it has none) and the number
+    of items at each such threshold are kept from step to step: a step
+    touches only the items it pins, packs or moves past the cut.
+    """
+    base = lo
+    lowest = dict.fromkeys(items, hi)
+    for item, rs in runs.items():
+        lowest[item] = min([ts[i] for _, ts, i, _ in rs])
+    count = [0] * (hi - lo + 1)  # items by lowest pending threshold - base
+    for t in lowest.values():
+        count[t - base] += 1
+    left = len(runs)  # items with pending runs
+    while left:
         # largest x in [1, m - 1] with at least x items whose lowest
-        # offset exceeds x; above holds that item count for x = cand
-        x = 0
-        above = count[m]
-        for cand in range(m - 1, 0, -1):
-            if above >= cand:
-                x = cand
+        # threshold is lo + x or more; above holds that item count
+        x = hi - lo
+        above = count[hi - base]
+        for c in reversed(count[lo - base:hi - base]):
+            if above >= x:
                 break
-            above += count[cand]
+            above += c
+            x -= 1
         cut = lo + x  # mid's rank; low takes [lo, cut - 1], the rest above
-        low = []  # smallest item ids that qualify
-        rest = []
-        for i in items:
-            if len(low) < x and lowest[i] >= cut:
-                low.append(i)
-            else:
-                rest.append(i)
-        low_set = set(low)
+        if x:
+            low = []  # smallest item ids that qualify
+            rest = []
+            for j, item in enumerate(items):
+                if lowest[item] >= cut:
+                    low.append(item)
+                    if len(low) == x:
+                        rest += items[j + 1:]
+                        break
+                else:
+                    rest.append(item)
+        else:
+            low, rest = (), items
         mid = rest[0]
         state.resolved[mid] = cut
+        count[lowest[mid] - base] -= 1
+        rs = runs.pop(mid, None)
+        if rs is not None:
+            left -= 1
+            for slot, ts, i, end in rs:
+                below = bisect_left(ts, cut, i, end)
+                equal = bisect_right(ts, cut, below, end) - below
+                out[slot] = (GREATER * below + EQUAL * equal
+                             + LESS * (len(ts) - below - equal))
+        for item in low:
+            count[lowest[item] - base] -= 1
+            rs = runs.pop(item, None)
+            if rs is not None:
+                left -= 1
+                for slot, ts, i, _ in rs:
+                    # its rank is below cut <= every pending threshold
+                    out[slot] = GREATER * i + LESS * (len(ts) - i)
         _commit(state, low, lo, cut - 1)
-        deeper = []
-        for entry in local:
-            pos, item, t = entry
-            if item in low_set:
-                answers[pos] = LESS  # its rank is below cut <= t
-            elif item == mid:
-                answers[pos] = compare(cut, t)
-            elif t <= cut:
-                answers[pos] = GREATER
+        items, lo = rest[1:], cut + 1
+        for item in items:
+            t = lowest[item]
+            if t >= lo:
+                continue
+            # the item ranks above cut: `>` at every threshold up to it
+            new = hi
+            kept = []
+            for run in runs[item]:
+                slot, ts, i, end = run
+                if ts[i] < lo:
+                    i = run[2] = bisect_right(ts, cut, i, end)
+                    if i == end:
+                        out[slot] = GREATER * end + LESS * (len(ts) - end)
+                        continue
+                kept.append(run)
+                if ts[i] < new:
+                    new = ts[i]
+            if kept:
+                runs[item] = kept
             else:
-                deeper.append(entry)
-        items, lo, local = rest[1:], cut + 1, deeper
+                del runs[item]
+                left -= 1
+            lowest[item] = new
+            count[t - base] -= 1
+            count[new - base] += 1
     _commit(state, items, lo, hi)
 
 

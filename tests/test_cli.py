@@ -250,7 +250,7 @@ def test_huge_round_budgets_finish_fast(argv):
 
 
 @pytest.mark.parametrize("problem,n,k,cap", [
-    ("sort", 10, 1, 2 * 10 ** 2 + 10 ** 3),   # trial cap, then the k = 1 opponent
+    ("sort", 10, 1, 2 * (2 * 10 ** 2)),       # trial cap and forced count
     ("sort", 16, 2, 2 * (2 * 2 * 16 * 4)),    # trial cap and forced count
     ("reduce", 16, 2, 2 * 16 * 4 + 2 * 16),   # k*n**(1+1/k) + k*n
     # past ceil(log2 16) = 4 rounds, the caps of k = 4
@@ -273,7 +273,7 @@ def test_budget_guards_one_sampled_trial(capsys, monkeypatch, problem, n, k, cap
     ("locate", 16, 2, 16 * 8),
     ("locate", 16, 10 ** 12, 16 * 8),   # past ceil(log2 16) = 4 rounds
     ("select", 5, 3, 1 + 3),            # one analytic run, k schedule steps
-    ("sort", 3, 1, 6 * 2 * 9 + 27),     # 3! runs at 2k*n**(1+1/k), then n**3
+    ("sort", 3, 1, 6 * 18 + 18),        # 3! runs at 2k*n**(1+1/k),
     ("sort", 4, 2, 24 * 32 + 32),       # and the forced count once
     ("reduce", 3, 1, 6 * (9 + 3)),      # 3! runs at k*n**(1+1/k) + k*n
 ])

@@ -12,9 +12,10 @@ import random
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
-from rounds_lab.cake import (CutQuery, DensityBackend, EvalQuery,
+from rounds_lab.cake import (Allocation, CutQuery, DensityBackend, EvalQuery,
                              PiecewiseDensity, assign_subcakes,
-                             parse_cake_file, random_density)
+                             parse_cake_file, proportional_protocol,
+                             random_density, verify_proportional)
 from rounds_lab.oracle import MalformedQuery, ProductBatch, pairs_of
 from rounds_lab.reductions import AdversaryCakeInstance
 from conftest import grid_point, mark_rows
@@ -369,6 +370,50 @@ def test_wrapped_densities_answer_alike_and_are_asked_alike():
             assert _answer(wrapped, b) == plain, (ids, xs)
             logs.append(log)
         assert logs[0] == logs[1], (ids, xs)
+
+
+def test_verify_values_match_prefix_differences():
+    """Each value verify_proportional reports is the reference prefix
+    difference over the agent's piece, for piece ends of every kind: 0 and
+    1 as int or `Fraction`, breakpoints, midpoints, coarse and fine grid
+    points, empty pieces and ends that share no denominator; its verdict is
+    the reference's 1/n test. Wrapped densities take the generic path."""
+    rng = random.Random(11)
+    densities = _densities()
+    grid = [Fraction(j, 29) for j in range(30)] + [Fraction(j, 10 ** 9 + 9)
+                                                   for j in (1, 5 * 10 ** 8)]
+    verdicts = set()
+    for trial in range(400):
+        n = rng.randint(1, 6)
+        agents = rng.sample(densities, n)
+        owners = list(range(1, n + 1))
+        rng.shuffle(owners)
+        if trial % 3 == 0:
+            allocation = proportional_protocol(agents, rng.randint(1, 3))[0]
+            pieces = allocation.pieces
+            if trial % 2:
+                owners = allocation.owners
+        else:
+            pool = list(grid)
+            for d in agents:
+                pool += d.breakpoints
+                pool += [(a + b) / 2 for a, b in zip(d.breakpoints, d.breakpoints[1:])]
+            inner = sorted(rng.choice(pool) for _ in range(n - 1))
+            ends = [rng.choice((0, Fraction(0)))] + inner + [rng.choice((1, Fraction(1)))]
+            pieces = tuple(zip(ends, ends[1:]))
+        if trial % 4 == 1:
+            agents[0] = Logged(agents[0], 1, [])
+        ok, values = verify_proportional(Allocation(tuple(pieces), tuple(owners)), agents)
+        piece_of = dict(zip(owners, pieces))
+        want = []
+        for agent, d in enumerate(agents, start=1):
+            d = getattr(d, "_density", d)
+            lo, hi = piece_of[agent]
+            want.append(reference_prefix(d, hi) - reference_prefix(d, lo))
+        assert values == want
+        assert ok is all(v >= Fraction(1, n) for v in want)
+        verdicts.add(ok)
+    assert verdicts == {True, False}
 
 
 def test_grid_points_are_integer_images():

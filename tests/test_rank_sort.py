@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rounds_lab.oracle import (EQUAL, GREATER, LESS, HiddenInstance,
-                               MalformedQuery, RankQuery, RoundLimitExceeded,
-                               Session, compare, open_session, random_instance)
+                               MalformedQuery, ProductBatch, RankQuery,
+                               RoundLimitExceeded, Session, compare, open_session,
+                               random_instance)
 from rounds_lab.rank_sort import (AdversaryState, AlgorithmIncorrect, _commit,
                                   _read_round, block_thresholds,
                                   consistent_witness, forced_query_count,
@@ -300,6 +301,86 @@ def test_opponent_matches_recursive_reference(n, data):
         assert new.answer_batch(batch) == reference_round(ref, batch)
         assert new.resolved == ref.resolved
         assert segment_list(new) == segment_list(ref)
+
+
+@st.composite
+def block_batches(draw, n):
+    """A `ProductBatch` of blocks with several thresholds each: ascending,
+    unsorted or repeated, as a list or a step-1 `range`, and items that
+    repeat within a block and recur across blocks."""
+    blocks = []
+    seen = []  # items of earlier blocks
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        pick = st.integers(min_value=1, max_value=n)
+        if seen:
+            pick = st.one_of(pick, st.sampled_from(seen))
+        items = draw(st.lists(pick, max_size=n + 2))
+        seen += items
+        shape = draw(st.sampled_from(["ascending", "unsorted", "repeats", "range"]))
+        if shape == "range":
+            lo = draw(st.integers(min_value=1, max_value=n))
+            ts = range(lo, draw(st.integers(min_value=lo, max_value=n + 1)))
+        else:
+            pool = st.integers(min_value=1, max_value=n)
+            if shape == "repeats":
+                pool = st.sampled_from(draw(st.lists(pool, min_size=1, max_size=3)))
+            ts = draw(st.lists(pool, min_size=1, max_size=n + 2))
+            if shape == "ascending":
+                ts.sort()
+        blocks.append((items, ts))
+    return ProductBatch(RankQuery, blocks)
+
+
+@settings(deadline=None, max_examples=400)
+@given(st.integers(min_value=1, max_value=14), st.data())
+def test_opponent_answers_blocks_as_the_recursive_reference(n, data):
+    """Round for round, blocks of many thresholds give the same answers,
+    committed ranks and open segments as the reference fed the same
+    queries one by one."""
+    new, ref = AdversaryState(n), AdversaryState(n)
+    for _ in range(data.draw(st.integers(min_value=1, max_value=4), label="rounds")):
+        batch = data.draw(block_batches(n), label="batch")
+        assert new.answer_batch(batch) == reference_round(ref, batch)
+        assert new.resolved == ref.resolved
+        assert segment_list(new) == segment_list(ref)
+
+
+def test_opponent_refuses_a_malformed_block_before_it_commits():
+    """A bad threshold or item anywhere in the batch is refused with the
+    message of the first bad query in item-major order, and leaves the
+    state as it was."""
+    batches = [
+        (([1, 2], [3, 1, 0]), "threshold out of range: 0"),
+        (([1, 9], [3, 1]), "item index out of range: 9"),
+        (([9, 1], [3, True]), "item index out of range: 9"),
+        (([1], [3, 2.0]), "threshold out of range: 2.0"),
+    ]
+    for bad, message in batches:
+        state = AdversaryState(6)
+        state.answer_batch([RankQuery(1, 3)])
+        resolved, segments = dict(state.resolved), segment_list(state)
+        with pytest.raises(MalformedQuery) as raised:
+            state.answer_batch(ProductBatch(RankQuery, [([2, 3, 4], [2, 5]), bad]))
+        assert str(raised.value) == message
+        assert state.resolved == resolved and segment_list(state) == segments
+
+
+def test_k1_opponent_forces_every_probe_at_512():
+    """At k = 1 the sorter probes every item at every inner rank: the
+    opponent charges all n(n - 1) probes, commits every rank, and each of
+    its answers agrees with that one order."""
+    n = 512
+    session = Session(AdversaryState(n), 1)
+    claimed = sort_rank(session, n, 1)
+    state = session.backend
+    assert state.segments == [] and len(state.resolved) == n
+    witness = consistent_witness(state)
+    assert claimed == witness
+    assert session.total_queries == n * (n - 1) == forced_query_count(sort_rank, n, 1)
+    (batch, answers), = session.transcript().batches
+    assert answers == "".join(compare(witness[item - 1], t)
+                              for _, items, ts in batch.blocks
+                              for item in items for t in ts)
 
 
 def test_forced_counts_match_recursive_reference():
