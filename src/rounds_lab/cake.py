@@ -37,7 +37,8 @@ from numbers import Rational
 from operator import itemgetter
 
 from .oracle import (MalformedQuery, ProductBatch, RationalAnswers,
-                     Session as CakeSession, blocks_of, pairs_of, query_at)
+                     Session as CakeSession, blocks_of, pairs_of, query_at,
+                     sorted_gather)
 from .util import ceil_kth_root, group_sizes, useful_rounds
 
 
@@ -154,26 +155,23 @@ class PiecewiseDensity:
                 dens += [den] * len(run)
             j0 = j1
 
-    def prefix(self, y):
-        if y.__class__ is not Fraction:
-            y = Fraction(y)
-        p, q = y.numerator, y.denominator
+    def _one(self, cut, x):
+        """cut(x), or prefix(x) when cut is false: `_answers` at one level."""
+        if x.__class__ is not Fraction:
+            x = Fraction(x)
+        p, q = x.numerator, x.denominator
         if p < 0 or p > q:
-            raise ValueError("point outside [0, 1]")
+            raise ValueError("%s outside [0, 1]" % ("alpha" if cut else "point"))
         nums, dens = [], []
-        self._answers(False, [p], q, nums, dens)
+        self._answers(cut, [p], q, nums, dens)
         return Fraction(nums[0], dens[0])
+
+    def prefix(self, y):
+        return self._one(False, y)
 
     def cut(self, alpha):
         """Leftmost y whose prefix value equals alpha."""
-        if alpha.__class__ is not Fraction:
-            alpha = Fraction(alpha)
-        p, q = alpha.numerator, alpha.denominator
-        if p < 0 or p > q:
-            raise ValueError("alpha outside [0, 1]")
-        nums, dens = [], []
-        self._answers(True, [p], q, nums, dens)
-        return Fraction(nums[0], dens[0])
+        return self._one(True, alpha)
 
 
 def _numerators(levels):
@@ -185,9 +183,7 @@ def _numerators(levels):
     qs = [x.denominator for x in levels]
     D = lcm(*qs)
     P = [x.numerator * (D // q) for x, q in zip(levels, qs)]
-    ascending = sorted(P)
-    gather = None if ascending == P else itemgetter(
-        *[bisect_left(ascending, p) for p in P])
+    ascending, gather = sorted_gather(P)
     if len(P) > 2 and ascending[1] > ascending[0]:
         run = range(ascending[0], ascending[-1] + 1, ascending[1] - ascending[0])
         if len(run) == len(P) and list(run) == ascending:

@@ -45,10 +45,12 @@ def build_parser():
     parser.add_argument("--out", default=None, metavar="FILE")
     parser.add_argument("--format", dest="fmt", choices=("csv", "svg"),
                         default="csv")
-    parser.add_argument("--cake-file", default=None, metavar="FILE",
-                        help="run the cake problem on the agents in FILE")
-    parser.add_argument("--save-cake", default=None, metavar="FILE",
-                        help="write the sampled cake instance to FILE")
+    # a run either reads its agents or samples and saves them, not both
+    cake_source = parser.add_mutually_exclusive_group()
+    cake_source.add_argument("--cake-file", default=None, metavar="FILE",
+                             help="run the cake problem on the agents in FILE")
+    cake_source.add_argument("--save-cake", default=None, metavar="FILE",
+                             help="write the sampled cake instance to FILE")
     return parser
 
 

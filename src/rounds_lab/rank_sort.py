@@ -20,10 +20,13 @@ open item's thresholds inside its stretch in one block are one pending
 run. The opponent keeps every item's lowest pending threshold, and the
 number of items at each threshold, from step to step, so a step costs
 O(m) for a stretch of m items: a downward scan of those counts finds x,
-the pinned item's runs are split by one bisect, the packed items' runs
+the pinned item's runs are split by bisection, the packed items' runs
 are answered `<`, and only the items with a threshold at or below the cut
-move past it, by one bisect per run. A resolved item is answered by one
-bisect. The steps run as a loop, so the stack depth does not grow with n.
+move past it, by one bisect per run. Every run, and the answers of a
+resolved item, is written by `oracle.rank_run`, the writer the hidden
+permutation uses too, and a block's thresholds are checked by the same
+`oracle.read_thresholds`. The steps run as a loop, so the stack depth
+does not grow with n.
 A sorter with one round probes every item at every inner rank, so x = 0
 at every step and its n steps cost O(n**2), one symbol per probe asked.
 """
@@ -31,10 +34,9 @@ at every step and its n steps cost O(n**2), one symbol per probe asked.
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import e
-from operator import itemgetter
 
-from .oracle import (EQUAL, GREATER, LESS, MalformedQuery, ProductBatch,
-                     RankQuery, Session, blocks_of, read_run)
+from .oracle import (MalformedQuery, ProductBatch, RankQuery, Session,
+                     blocks_of, rank_run, read_run, read_thresholds)
 from .util import ceil_div, ceil_kth_root
 
 
@@ -146,15 +148,16 @@ class AdversaryState:
         little order as possible.
 
         Each (items, thresholds) block is read once. Its thresholds are
-        checked once, after its first item and before the rest, which is
-        what query-by-query checking in item-major order raises; nothing
-        is committed before the whole batch has passed. Thresholds that do
-        not ascend are answered sorted and gathered back into block order.
-        A resolved item's answers are one bisect's `>`/`=`/`<` run; an open
-        item's thresholds inside its segment become one pending run, which
-        `_carve` answers.
+        checked and put in ascending order by `oracle.read_thresholds`, in
+        the order `HiddenInstance` checks them, and its items after that;
+        nothing is committed before the whole batch has passed. A resolved
+        item, and an open item with no threshold inside its segment, is
+        answered by `oracle.rank_run`; an open item's thresholds inside its
+        segment become one pending run, which `_carve` answers. Answers to
+        thresholds that did not ascend are gathered back into block order.
         """
         n = self.n
+        check = self._check_item
         resolved = self.resolved
         segment_of = {item: seg for seg in self.segments for item in seg.items}
         out = []  # each (block, item)'s answers, in batch order
@@ -165,36 +168,21 @@ class AdversaryState:
                 continue  # asks nothing, so nothing in it is judged
             if kind is not RankQuery:
                 raise MalformedQuery("the opponent only serves rank queries")
-            _check_item(items[0], n)
-            prev = 0
-            ascending = True
-            for t in ts:
-                if not (t.__class__ is int and 1 <= t <= n):
-                    raise MalformedQuery("threshold out of range: %r" % (t,))
-                if t < prev:
-                    ascending = False
-                prev = t
-            if not ascending:
-                sts = sorted(ts)
-                gathers.append((len(out), len(items),
-                                itemgetter(*[bisect_left(sts, t) for t in ts])))
-                ts = sts
-            width = len(ts)
+            ts, gather = read_thresholds(ts, n, check, items[0])
+            if gather is not None:
+                gathers.append((len(out), len(items), gather))
             for item in items:
                 if not (item.__class__ is int and 1 <= item <= n):
-                    _check_item(item, n)
+                    check(item)
                 r = resolved.get(item)
                 if r is not None:
-                    below = bisect_left(ts, r)
-                    equal = bisect_right(ts, r, below) - below
-                    out.append(GREATER * below + EQUAL * equal
-                               + LESS * (width - below - equal))
+                    out.append(rank_run(ts, r))
                     continue
                 seg = segment_of[item]
                 below = bisect_left(ts, seg.lo)
                 end = bisect_right(ts, seg.hi, below)
-                if below == end:
-                    out.append(GREATER * below + LESS * (width - below))
+                if below == end:  # no threshold inside the segment
+                    out.append(rank_run(ts, seg.lo, below, below))
                     continue
                 # slot, thresholds, first pending, end of the pending ones
                 run = [len(out), ts, below, end]
@@ -215,11 +203,10 @@ class AdversaryState:
                 out[slot] = "".join(gather(out[slot]))
         return "".join(out)
 
-
-def _check_item(item, n):
-    """Raise MalformedQuery unless item is an int in 1..n."""
-    if not (item.__class__ is int and 1 <= item <= n):
-        raise MalformedQuery("item index out of range: %r" % (item,))
+    def _check_item(self, item):
+        """Raise MalformedQuery unless item is an int in 1..n."""
+        if not (item.__class__ is int and 1 <= item <= self.n):
+            raise MalformedQuery("item index out of range: %r" % (item,))
 
 
 def _commit(state, items, lo, hi):
@@ -283,18 +270,16 @@ def _carve(state, items, lo, hi, runs, out):
         if rs is not None:
             left -= 1
             for slot, ts, i, end in rs:
-                below = bisect_left(ts, cut, i, end)
-                equal = bisect_right(ts, cut, below, end) - below
-                out[slot] = (GREATER * below + EQUAL * equal
-                             + LESS * (len(ts) - below - equal))
+                out[slot] = rank_run(ts, cut, i, end)
         for item in low:
             count[lowest[item] - base] -= 1
             rs = runs.pop(item, None)
             if rs is not None:
                 left -= 1
                 for slot, ts, i, _ in rs:
-                    # its rank is below cut <= every pending threshold
-                    out[slot] = GREATER * i + LESS * (len(ts) - i)
+                    # its rank, lo or more, is below cut <= every pending
+                    # threshold
+                    out[slot] = rank_run(ts, lo, i, i)
         _commit(state, low, lo, cut - 1)
         items, lo = rest[1:], cut + 1
         for item in items:
@@ -308,8 +293,8 @@ def _carve(state, items, lo, hi, runs, out):
                 slot, ts, i, end = run
                 if ts[i] < lo:
                     i = run[2] = bisect_right(ts, cut, i, end)
-                    if i == end:
-                        out[slot] = GREATER * end + LESS * (len(ts) - end)
+                    if i == end:  # ts[:end] <= cut < its rank <= hi
+                        out[slot] = rank_run(ts, hi, end, end)
                         continue
                 kept.append(run)
                 if ts[i] < new:

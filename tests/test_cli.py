@@ -112,6 +112,22 @@ def test_cake_file_must_match_n(tmp_path, capsys):
     assert code == 2
 
 
+def test_cake_file_and_save_cake_exclude_each_other(tmp_path, capsys):
+    """Reading agents from a file and saving sampled ones are alternatives:
+    asking for both exits 2 before any run, with nothing on stdout and no
+    file written."""
+    source = tmp_path / "two.cake"
+    source.write_text("0 1 1\n0 1 1\n")
+    saved = tmp_path / "saved.cake"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["cake", "--n", "2", "--k", "1", "--cake-file", str(source),
+                  "--save-cake", str(saved)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "not allowed with argument" in captured.err
+    assert not saved.exists()
+
+
 def test_the_shared_parser_carries_nothing_between_calls(tmp_path, capsys):
     assert cli.build_parser() is cli.build_parser()
     plain = ["cake", "--n", "2", "--k", "1", "--mode", "mc", "--trials", "3"]

@@ -1,5 +1,6 @@
 import random
 import sys
+from bisect import bisect_left, bisect_right
 import threading
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ from rounds_lab.oracle import (EQUAL, GREATER, LESS, TARGET, ComparisonQuery,
                                RankQuery, RationalAnswers, RoundLimitExceeded,
                                RoundTranscript, Session, compare,
                                is_identity, is_permutation, open_session,
-                               pairs_of, random_instance)
+                               pairs_of, random_instance, rank_run)
 from rounds_lab.rank_sort import AdversaryState
 from rounds_lab.reductions import (AdversaryCakeBackend, LocateComparisonBackend,
                                    SelectComparisonBackend,
@@ -55,6 +56,58 @@ def test_range_instance_validation():
     assert inst.target_rank == n and inst.rank_of(n) == 1
     with pytest.raises(ValueError):
         HiddenInstance(range(1, n + 1), target_index=n + 1)
+
+
+def test_target_index_must_be_an_exact_int():
+    """A float or a bool names no item: it is refused when the instance is
+    built, not by a later query about the target."""
+    for bad in (2.0, True, "2"):
+        with pytest.raises(ValueError, match="target_index must be an int"):
+            HiddenInstance(range(1, 5), target_index=bad)
+    inst = HiddenInstance(range(1, 5), target_index=2)
+    assert open_session(inst, 1).submit_round([RankQuery(TARGET, 2)]) == EQUAL
+
+
+def test_hidden_instance_refuses_a_malformed_block_in_the_opponents_order():
+    """Query by query, a threshold is judged before its item, so a block
+    whose first threshold and first item are both bad reports the
+    threshold, and one whose first threshold passes reports the item;
+    `AdversaryState` judges the same blocks the same way."""
+    inst = HiddenInstance(shuffled_ranks(6, 2), target_index=1)
+    batches = [
+        (([9], [0, 3]), "threshold out of range: 0"),
+        (([9], [3, 0]), "item index out of range: 9"),
+        (([1, 2], [3, 1, 0]), "threshold out of range: 0"),
+        (([1, 9], [3, 1]), "item index out of range: 9"),
+        (([9, 1], [3, True]), "item index out of range: 9"),
+        (([1], [3, 2.0]), "threshold out of range: 2.0"),
+    ]
+    for bad, message in batches:
+        with pytest.raises(MalformedQuery) as raised:
+            inst.answer_batch(ProductBatch(RankQuery, [([2, 3, 4], [2, 5]), bad]))
+        assert str(raised.value) == message
+
+
+@st.composite
+def ascending_thresholds(draw):
+    """Ascending thresholds: a tuple with repeats, or a range of any
+    positive step, either maybe empty."""
+    if draw(st.booleans()):
+        return tuple(sorted(draw(st.lists(st.integers(-2, 12), max_size=8))))
+    return range(draw(st.integers(-2, 12)), draw(st.integers(-2, 30)),
+                 draw(st.integers(1, 5)))
+
+
+@given(ascending_thresholds(), st.integers(-4, 16))
+def test_rank_run_answers_as_a_compare_per_threshold(ts, r):
+    """`rank_run` gives what comparing the rank with each threshold gives,
+    with no hint and with every valid (lo, hi) hint: the thresholds before
+    lo below r, those from hi on above it."""
+    want = "".join(compare(r, t) for t in ts)
+    assert rank_run(ts, r) == want
+    for lo in range(bisect_left(ts, r) + 1):
+        for hi in range(bisect_right(ts, r), len(ts) + 1):
+            assert rank_run(ts, r, lo, hi) == want
 
 
 @given(perms)

@@ -350,6 +350,9 @@ def test_opponent_refuses_a_malformed_block_before_it_commits():
     message of the first bad query in item-major order, and leaves the
     state as it was."""
     batches = [
+        # a threshold is judged before its item, as `HiddenInstance` does
+        (([9], [0, 3]), "threshold out of range: 0"),
+        (([9], [3, 0]), "item index out of range: 9"),
         (([1, 2], [3, 1, 0]), "threshold out of range: 0"),
         (([1, 9], [3, 1]), "item index out of range: 9"),
         (([9, 1], [3, True]), "item index out of range: 9"),
