@@ -13,8 +13,7 @@ from .harness import (BoundRow, ExperimentConfig, bounds, emit_report,
                       run_experiment)
 from .locate import locate_det, locate_det_dist, locate_det_subset, locate_rand
 from .oracle import (EQUAL, GREATER, LESS, TARGET, ComparisonQuery,
-                     HiddenInstance, RankQuery, Session, open_session,
-                     random_instance)
+                     HiddenInstance, RankQuery, Session, open_session)
 from .rank_sort import forced_query_count, sort_rank, sorting_lower_bound
 from .reductions import (ordered_to_locate_adapter, run_reduction,
                          unordered_to_select_adapter)
@@ -26,7 +25,7 @@ __all__ = [
     "BoundRow", "ExperimentConfig", "bounds", "emit_report", "run_experiment",
     "locate_det", "locate_det_dist", "locate_det_subset", "locate_rand",
     "EQUAL", "GREATER", "LESS", "TARGET", "ComparisonQuery", "HiddenInstance",
-    "RankQuery", "Session", "open_session", "random_instance",
+    "RankQuery", "Session", "open_session",
     "forced_query_count", "sort_rank", "sorting_lower_bound",
     "ordered_to_locate_adapter", "run_reduction", "unordered_to_select_adapter",
     "build_schedule", "exact_expected_queries", "select_det", "select_rand",

@@ -41,10 +41,11 @@ whichever form they come in. Either block is immutable, and the session
 keeps and returns it as it is.
 
 `HiddenInstance` checks that its ranks are a permutation of 1..n. A
-`range` checks in O(1); a tuple of at least 4096 ranks is checked in full
-until its third pass and then remembered, 16 tuples at most, so the
-instances built over one tuple again and again cost O(1) each after that,
-while a tuple checked once or twice and dropped is never held.
+`range` checks in O(1). An identity tuple of at least 4096 exact ints is
+remembered on its first full check, one per length and 16 lengths at
+most, so the instances built over one sorted tuple again and again cost
+O(1) each after that; any other tuple is checked in full every time and
+never held.
 """
 
 from bisect import bisect_left, bisect_right
@@ -265,64 +266,38 @@ def is_identity(ranks):
     return ranks == ident or all(map(eq, ranks, ident))
 
 
-# Permutations already checked, so that a large tuple of ranks a caller keeps
-# and builds instances over again and again is checked in full only three
-# times. Only exact tuples of at least 4096 exact ints count: nothing in them
-# can change, so a tuple that passed once still passes, and shorter tuples
-# are cheap to check. Such a tuple is kept from its third full pass on, so one
-# passed once or twice and then dropped (a sorting or reduction trial's fresh
-# permutation, which the instance checks and `run_reduction` checks again) is
-# never held. A kept entry is keyed by the tuple's id and holds the tuple
-# itself, so no other object can take that id while the entry lives, and it
-# counts only for the very tuple (`is`) it holds. The passes before that are
-# counted by id together with the tuple's length, its end ranks and their
-# types (True and 1.0 equal 1), holding no tuple, so a new tuple that
-# takes a dropped one's id mostly starts afresh; either way a tuple is kept
-# only right after a full pass of its own. Past the cap the least recently
-# used entry of each table goes.
+# The identity tuple of each length checked last, so that a large sorted tuple
+# a caller keeps and builds instances over again and again is checked in full
+# once. Only an exact tuple of at least 4096 exact ints that reads 1..n is
+# kept: nothing in it can change, shorter tuples are cheap to check, and a
+# sorting or reduction trial's fresh permutation is never held. A new identity
+# tuple of a kept length replaces the old one; past 16 lengths the least
+# recently used goes.
 _KEEP_MIN_LEN = 4096
-_KEEP_ON_PASS = 3
 _KEEP_CAP = 16
-_kept = OrderedDict()    # id(ranks) -> ranks
-_passes = OrderedDict()  # id(ranks) -> (mark of len and end ranks, full passes)
+_kept = OrderedDict()  # n -> the identity tuple of length n checked last
 _memo_lock = Lock()
-
-
-def _trim(table):
-    while len(table) > _KEEP_CAP:
-        table.popitem(last=False)
-
-
-def _passed(key, ranks):
-    """Count a full pass of a long tuple, keeping it from its third on."""
-    first, last = ranks[0], ranks[-1]
-    mark = (len(ranks), first.__class__, first, last.__class__, last)
-    with _memo_lock:
-        seen, count = _passes.pop(key, (None, 0))
-        count = count + 1 if seen == mark else 1
-        if count >= _KEEP_ON_PASS and set(map(type, ranks)) == {int}:
-            _kept[key] = ranks
-            _trim(_kept)
-        else:
-            _passes[key] = (mark, count)
-            _trim(_passes)
 
 
 def is_permutation(ranks):
     """True when ranks is a permutation of 1..len(ranks): O(1) for a kept
-    tuple; otherwise the sort only runs when the sequence is not already
-    the identity."""
-    long = ranks.__class__ is tuple and len(ranks) >= _KEEP_MIN_LEN
+    identity tuple; otherwise the sort only runs when the sequence is not
+    already the identity."""
+    n = len(ranks)
+    long = ranks.__class__ is tuple and n >= _KEEP_MIN_LEN
     if long:
-        key = id(ranks)
         with _memo_lock:
-            if _kept.get(key) is ranks:
-                _kept.move_to_end(key)
+            if _kept.get(n) is ranks:
+                _kept.move_to_end(n)
                 return True
-    if not (is_identity(ranks) or sorted(ranks) == list(range(1, len(ranks) + 1))):
-        return False
-    if long:
-        _passed(key, ranks)
+    if not is_identity(ranks):
+        return sorted(ranks) == list(range(1, n + 1))
+    if long and set(map(type, ranks)) == {int}:
+        with _memo_lock:
+            _kept[n] = ranks
+            _kept.move_to_end(n)
+            if len(_kept) > _KEEP_CAP:
+                _kept.popitem(last=False)
     return True
 
 
@@ -332,8 +307,8 @@ class HiddenInstance:
 
     ranks[i-1] is the rank of item i. Pass range(1, n + 1) for the sorted
     instance: it validates in O(1) and stores only n and the target, so a
-    search over it costs time in its queries, not in n. A tuple of at least
-    4096 ranks is remembered after its third full check (see
+    search over it costs time in its queries, not in n. An identity tuple
+    of at least 4096 ranks is remembered on its first full check (see
     `is_permutation`), so building more instances over the same tuple costs
     O(1) too.
     target_index, when set, is an int in 1..n (a float or a bool is
@@ -357,9 +332,6 @@ class HiddenInstance:
     @property
     def n(self):
         return len(self.ranks)
-
-    def rank_of(self, item):
-        return self.ranks[item - 1]
 
     @property
     def target_rank(self):
@@ -536,9 +508,3 @@ def open_session(instance, k_limit):
 def random_ranks(n, rng):
     """A uniformly shuffled tuple of 1..n, not yet checked by an instance."""
     return tuple(shuffled(n, rng))
-
-
-def random_instance(n, rng, with_target=True):
-    ranks = random_ranks(n, rng)
-    target = rng.randrange(1, n + 1) if with_target else None
-    return HiddenInstance(ranks=ranks, target_index=target)

@@ -142,11 +142,6 @@ class AdversaryCakeInstance:
         self.counts = {}  # i -> (marks below, above)
         self.points = {}  # grid point over den -> (agent, i)
 
-    @property
-    def epsilon(self):
-        """The grid spacing eps = 1/(n**4 + 1)."""
-        return Fraction(1, self.istep)
-
     def point_key(self, y):
         """The integer over den that equals y, or None when there is none."""
         d = y.denominator

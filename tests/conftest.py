@@ -1,7 +1,8 @@
 import random
 from fractions import Fraction
 
-from rounds_lab.oracle import TARGET, HiddenInstance, RankQuery, compare, open_session
+from rounds_lab.oracle import (TARGET, HiddenInstance, RankQuery, compare, open_session,
+                               random_ranks)
 
 
 def sorted_instance(n, target_rank=None):
@@ -11,6 +12,12 @@ def sorted_instance(n, target_rank=None):
 
 def session_for(n, k, target_rank=None):
     return open_session(sorted_instance(n, target_rank), k)
+
+
+def random_instance(n, rng):
+    """A shuffled instance of 1..n promising a uniformly drawn item."""
+    ranks = random_ranks(n, rng)
+    return HiddenInstance(ranks, target_index=rng.randrange(1, n + 1))
 
 
 def shuffled_ranks(n, seed):
@@ -39,11 +46,11 @@ def answers_consistent(transcript, instance):
         for q, a in zip(qs, ans):
             if q.__class__ is RankQuery:
                 idx = instance.target_index if q.item == TARGET else q.item
-                want = compare(instance.rank_of(idx), q.threshold)
+                want = compare(instance.ranks[idx - 1], q.threshold)
             else:
                 li = instance.target_index if q.left == TARGET else q.left
                 ri = instance.target_index if q.right == TARGET else q.right
-                want = compare(instance.rank_of(li), instance.rank_of(ri))
+                want = compare(instance.ranks[li - 1], instance.ranks[ri - 1])
             if a != want:
                 return False
     return True

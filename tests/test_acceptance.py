@@ -15,13 +15,13 @@ from rounds_lab.cake import (CakeSession, DensityBackend, random_density,
                              run_proportional, verify_proportional)
 from rounds_lab.harness import bounds, brute_force_select
 from rounds_lab.locate import locate_det
-from rounds_lab.oracle import (HiddenInstance, open_session, random_instance)
+from rounds_lab.oracle import HiddenInstance, open_session, random_ranks
 from rounds_lab.rank_sort import forced_query_count, sort_rank
 from rounds_lab.reductions import (ordered_to_locate_adapter, run_reduction,
                                    unordered_to_select_adapter)
 from rounds_lab.select import build_schedule, exact_expected_queries, select_det, select_rand
 from rounds_lab.util import ceil_kth_root, ceil_log2
-from conftest import session_for, sorted_instance
+from conftest import random_instance, session_for, sorted_instance
 
 PS = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1))
 
@@ -122,8 +122,7 @@ def test_acceptance_5_sorting():
             cap = 2 * k * n ** (1 + 1 / k)
             worst = 0
             for t in range(100):
-                inst = random_instance(n, random.Random(500_000 + t),
-                                       with_target=False)
+                inst = HiddenInstance(random_ranks(n, random.Random(500_000 + t)))
                 sess = open_session(inst, k)
                 if sort_rank(sess, n, k) != inst.ranks:
                     ok = False

@@ -419,11 +419,11 @@ def test_verify_values_match_prefix_differences():
 def test_grid_points_are_integer_images():
     for n in (1, 2, 4, 7, 30):
         inst = AdversaryCakeInstance(n)
-        assert inst.epsilon == Fraction(1, n ** 4 + 1)
+        assert inst.istep == n ** 4 + 1
         for i in range(n + 1):
             for c in range(1, n + 1):
                 y = grid_point(inst, i, c)
-                assert y == Fraction(i, n + 1) + c * inst.epsilon
+                assert y == Fraction(i, n + 1) + Fraction(c, inst.istep)
                 assert Fraction(inst.point_key(y), inst.den) == y
         assert inst.point_key(Fraction(1, inst.den + 1)) is None
 

@@ -15,7 +15,7 @@ from rounds_lab.oracle import (EQUAL, GREATER, LESS, TARGET, ComparisonQuery,
                                RankQuery, RationalAnswers, RoundLimitExceeded,
                                RoundTranscript, Session, compare,
                                is_identity, is_permutation, open_session,
-                               pairs_of, random_instance, rank_run)
+                               pairs_of, random_ranks, rank_run)
 from rounds_lab.rank_sort import AdversaryState
 from rounds_lab.reductions import (AdversaryCakeBackend, LocateComparisonBackend,
                                    SelectComparisonBackend,
@@ -38,7 +38,7 @@ def test_instance_validation():
         HiddenInstance((1, 2, 3), target_index=4)
     inst = HiddenInstance((2, 3, 1))
     assert inst.n == 3
-    assert inst.rank_of(3) == 1
+    assert inst.ranks[3 - 1] == 1
     with pytest.raises(ValueError):
         inst.target_rank
 
@@ -53,7 +53,7 @@ def test_range_instance_validation():
         inst = HiddenInstance(good, target_index=n if len(good) else None)
         assert inst.n == len(good)
     inst = HiddenInstance(range(n, 0, -1), target_index=1)
-    assert inst.target_rank == n and inst.rank_of(n) == 1
+    assert inst.target_rank == n and inst.ranks[n - 1] == 1
     with pytest.raises(ValueError):
         HiddenInstance(range(1, n + 1), target_index=n + 1)
 
@@ -214,12 +214,11 @@ def test_transcript_replay_detects_mismatch():
     assert not answers_consistent(tr, HiddenInstance((3, 2, 1)))
 
 
-def test_random_instance_is_permutation():
-    rng = random.Random(9)
-    inst = random_instance(12, rng)
-    assert sorted(inst.ranks) == list(range(1, 13))
-    assert 1 <= inst.target_index <= 12
-    assert shuffled_ranks(12, 0) != tuple(range(1, 13))
+def test_random_ranks_are_a_permutation():
+    ranks = random_ranks(12, random.Random(9))
+    assert ranks.__class__ is tuple and sorted(ranks) == list(range(1, 13))
+    assert ranks != tuple(range(1, 13))
+    assert ranks == random_ranks(12, random.Random(9))
 
 
 def eager_rounds(transcript):
@@ -324,20 +323,22 @@ def test_division_sessions_keep_their_answer_blocks():
         assert plain == first and hash(plain) == hash(first)
 
 
-# the length from which a tuple of ranks is remembered, and the full pass
-# from which it is
+# the length from which an identity tuple of ranks is remembered
 LONG = oracle._KEEP_MIN_LEN
-KEEP = oracle._KEEP_ON_PASS
+
+
+def identity(n):
+    """A fresh identity tuple of length n, distinct from every other."""
+    return tuple(range(1, n + 1))
 
 
 @pytest.fixture
 def memo():
-    """The memo of checked tuples, empty for the test and emptied after."""
+    """The memo of checked identity tuples, empty for the test and emptied
+    after."""
     oracle._kept.clear()
-    oracle._passes.clear()
     yield oracle._kept
     oracle._kept.clear()
-    oracle._passes.clear()
 
 
 def build(ranks, times):
@@ -345,70 +346,76 @@ def build(ranks, times):
         assert HiddenInstance(ranks).n == len(ranks)
 
 
+def test_an_identity_tuple_is_kept_after_one_check(memo):
+    ranks = identity(LONG)
+    build(ranks, 1)
+    assert dict(memo) == {LONG: ranks} and memo[LONG] is ranks
+    build(ranks, 2)
+    assert memo[LONG] is ranks
+
+
+def test_a_distinct_identity_tuple_of_the_same_length_replaces_it(memo):
+    first, second = identity(LONG), identity(LONG)
+    assert first == second and first is not second
+    build(first, 1)
+    build(second, 1)
+    assert len(memo) == 1 and memo[LONG] is second
+    build(first, 1)  # checked in full again, and kept in its turn
+    assert len(memo) == 1 and memo[LONG] is first
+
+
+def test_a_shuffled_tuple_is_never_kept(memo):
+    ranks = shuffled_ranks(LONG, 5)
+    build(ranks, 5)
+    assert is_permutation(ranks)
+    assert not memo
+
+
 def test_a_list_that_changes_is_checked_again(memo):
     ranks = list(range(1, LONG + 1))
-    build(ranks, KEEP + 1)
+    build(ranks, 3)
     ranks[0] = 2
     with pytest.raises(ValueError):
         HiddenInstance(ranks)
     assert not is_identity(ranks)
     ranks[0] = 1
-    build(range(1, LONG + 1), KEEP + 1)
+    build(range(1, LONG + 1), 3)
     build(ranks, 1)
-    assert not memo and not oracle._passes  # lists and ranges are never counted
+    assert not memo  # lists and ranges are never kept
 
 
 def test_only_exact_tuples_of_exact_ints_are_remembered(memo):
     class Ranks(tuple):
         pass
 
-    for ranks in (Ranks(range(1, LONG + 1)), (True,) + tuple(range(2, LONG + 1)),
-                  tuple(map(float, range(1, LONG + 1))), tuple(range(1, LONG))):
-        build(ranks, KEEP + 1)  # passes as before
+    for ranks in (Ranks(range(1, LONG + 1)), (True,) + identity(LONG)[1:],
+                  tuple(map(float, range(1, LONG + 1))), identity(LONG - 1)):
+        build(ranks, 3)  # passes as before
     assert not memo
-    ranks = tuple(range(1, LONG + 1))
-    build(ranks, KEEP - 1)
-    assert not memo
+    ranks = identity(LONG)
     build(ranks, 1)
     assert list(memo.values()) == [ranks]
-
-
-def test_a_tuple_equal_only_by_value_leaves_its_id_no_passes(memo):
-    """Passes counted for a tuple whose ranks equal an int permutation's
-    only as values (True for 1, floats) do not carry over to an int tuple
-    that takes its id once it is dropped."""
-    ranks = tuple(range(1, LONG + 1))
-    for other in ((True,) + ranks[1:], tuple(map(float, ranks))):
-        for _ in range(KEEP + 1):
-            oracle._passed(id(ranks), other)  # as if `other` held this id
-        build(ranks, KEEP - 1)
-        assert not memo
-        oracle._passes.clear()
 
 
 def test_a_tuple_checked_once_or_twice_is_not_held(memo):
     """A sampled sort or reduction trial checks its fresh permutation once
-    or twice (the instance, then `run_reduction`); none of them is kept."""
+    or twice (the instance, then `run_reduction`); none of them is kept,
+    and of distinct identity tuples of one length only the last is."""
     for seed in range(oracle._KEEP_CAP + 3):
         ranks = shuffled_ranks(LONG, seed)
         HiddenInstance(ranks)
         assert is_permutation(ranks)
-        assert len(oracle._passes) <= oracle._KEEP_CAP
     assert not memo
-    # a record left by a dropped tuple whose id a new one takes counts for
-    # the new one only when its length and end ranks match too
-    ranks = shuffled_ranks(LONG, 99)
-    oracle._passes[id(ranks)] = ((LONG, ranks[-1], ranks[0]), KEEP - 1)
-    build(ranks, KEEP - 1)
-    assert not memo
-    build(ranks, 1)
-    assert list(memo.values()) == [ranks]
+    for _ in range(oracle._KEEP_CAP + 3):
+        ranks = identity(LONG)
+        HiddenInstance(ranks)
+        assert is_permutation(ranks)
+        assert len(memo) == 1 and memo[LONG] is ranks
 
 
 def test_sampled_sort_and_reduce_runs_leave_nothing_remembered(memo):
     """Each trial checks its fresh permutation at most twice: the instance,
-    then, in a reduction, `run_reduction`. The seeds differ: an equal
-    permutation that takes a dropped one's id counts as the same tuple."""
+    then, in a reduction, `run_reduction`; a permutation is never kept."""
     for seed, problem in enumerate(("sort", "reduce")):
         config = ExperimentConfig(problem=problem, n=LONG, k=8, trials=2,
                                   seed=seed, mode="mc")
@@ -417,44 +424,44 @@ def test_sampled_sort_and_reduce_runs_leave_nothing_remembered(memo):
 
 
 def test_a_rejected_tuple_is_rejected_every_time(memo):
-    for bad in (tuple(range(1, LONG)) + (LONG + 1,), tuple(range(1, LONG)) + (1,),
-                (2,) + tuple(range(2, LONG + 1))):
-        for _ in range(KEEP + 1):
+    for bad in (identity(LONG - 1) + (LONG + 1,), identity(LONG - 1) + (1,),
+                (2,) + identity(LONG)[1:]):
+        for _ in range(3):
             with pytest.raises(ValueError):
                 HiddenInstance(bad)
             assert not is_permutation(bad) and not is_identity(bad)
-    assert not memo and not oracle._passes
+    assert not memo
 
 
 def test_the_memo_keeps_at_most_its_cap_and_drops_the_least_recent(memo):
     cap = oracle._KEEP_CAP
-    perms = [shuffled_ranks(LONG, seed) for seed in range(cap + 3)]
-    for ranks in perms[:cap]:
-        build(ranks, KEEP)
+    tuples = [identity(LONG + j) for j in range(cap + 3)]
+    for ranks in tuples[:cap]:
+        build(ranks, 1)
     assert len(memo) == cap
-    HiddenInstance(perms[0])  # a hit makes it the most recent
-    build(perms[cap], KEEP)
-    assert id(perms[0]) in memo and id(perms[1]) not in memo
-    for ranks in perms:
-        build(ranks, KEEP)
-        assert len(memo) <= cap and len(oracle._passes) <= cap
-    assert list(memo.values()) == perms[3:]
-    build(perms[0], KEEP - 1)  # an evicted tuple is checked again in full
-    assert id(perms[0]) not in memo
-    build(perms[0], 1)
-    assert id(perms[0]) in memo
+    HiddenInstance(tuples[0])  # a hit makes it the most recent
+    build(tuples[cap], 1)
+    assert memo[LONG] is tuples[0] and LONG + 1 not in memo
+    for ranks in tuples:
+        build(ranks, 1)
+        assert len(memo) <= cap
+    assert list(memo.values()) == tuples[3:]
+    assert all(memo[len(ranks)] is ranks for ranks in tuples[3:])
+    assert LONG not in memo  # an evicted tuple is checked again in full
+    build(tuples[0], 1)
+    assert memo[LONG] is tuples[0]
 
 
 def test_threads_sharing_the_memo_keep_it_bounded_and_right(memo):
     cap = oracle._KEEP_CAP
-    perms = [shuffled_ranks(LONG, seed) for seed in range(cap + 4)]
-    bad = perms[0][:-1] + (1,)
+    tuples = [identity(LONG + j % (cap + 2)) for j in range(2 * (cap + 2))]
+    bad = tuples[0][:-1] + (1,)
     failures = []
 
     def work(offset):
         try:
             for i in range(40):
-                assert is_permutation(perms[(offset + i) % len(perms)])
+                assert is_permutation(tuples[(offset + i) % len(tuples)])
                 assert not is_permutation(bad)
         except Exception as exc:  # reported by the main thread
             failures.append(exc)
@@ -471,8 +478,9 @@ def test_threads_sharing_the_memo_keep_it_bounded_and_right(memo):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert not failures
-    assert 0 < len(memo) <= cap and len(oracle._passes) <= cap
-    assert all(key == id(ranks) for key, ranks in memo.items())
+    assert 0 < len(memo) <= cap
+    assert all(n == len(ranks) and any(ranks is t for t in tuples)
+               for n, ranks in memo.items())
 
 
 def test_remembered_tuples_refuse_what_they_refused(memo):
@@ -491,15 +499,15 @@ def test_remembered_tuples_refuse_what_they_refused(memo):
         raise Reached
 
     shuffled = shuffled_ranks(LONG, 7)
-    ordered = tuple(range(1, LONG + 1))
+    ordered, again = identity(LONG), identity(LONG)  # distinct, so each replaces the other
     bad = ordered[:-1] + (1,)
-    for _ in range(KEEP + 1):
+    for _ in range(3):
         with pytest.raises(ValueError, match="sorted"):
             ordered_to_locate_adapter(open_session(HiddenInstance(shuffled, 1), 1))
         ordered_to_locate_adapter(open_session(HiddenInstance(ordered, 1), 1))
         with pytest.raises(ValueError, match="not a permutation"):
             run_reduction(protocol, LONG, Session(BareRanks(bad), 1))
-        for ranks in (shuffled, ordered):  # the check passes and the protocol runs
+        for ranks in (shuffled, again):  # the check passes and the protocol runs
             with pytest.raises(Reached):
                 run_reduction(protocol, LONG, Session(BareRanks(ranks), 1))
-    assert set(memo.values()) == {shuffled, ordered}
+    assert list(memo.values()) == [again] and memo[LONG] is again

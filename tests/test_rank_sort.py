@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from rounds_lab.oracle import (EQUAL, GREATER, LESS, HiddenInstance,
                                MalformedQuery, ProductBatch, RankQuery,
                                RoundLimitExceeded, Session, compare, open_session,
-                               random_instance)
+                               random_ranks)
 from rounds_lab.rank_sort import (AdversaryState, AlgorithmIncorrect, _commit,
                                   _read_round, block_thresholds,
                                   consistent_witness, forced_query_count,
@@ -55,7 +55,7 @@ def test_cost_ignores_input_order():
 @given(st.integers(min_value=1, max_value=80), st.integers(min_value=1, max_value=4),
        st.integers(min_value=0, max_value=10 ** 6))
 def test_sort_meets_query_cap(n, k, seed):
-    ranks = random_instance(n, random.Random(seed), with_target=False).ranks
+    ranks = random_ranks(n, random.Random(seed))
     total, rounds = sort_cost(ranks, k)
     assert total <= 2 * k * n ** (1 + 1 / k)
     assert rounds <= k

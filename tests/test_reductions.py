@@ -12,13 +12,13 @@ from rounds_lab.cake import (Allocation, CutQuery, EvalQuery,
 from rounds_lab.locate import locate_det
 from rounds_lab.oracle import (EQUAL, GREATER, LESS, HiddenInstance,
                                MalformedQuery, RankQuery, Session, compare,
-                               open_session, random_instance)
+                               open_session, random_ranks)
 from rounds_lab.reductions import (AdversaryCakeBackend, AdversaryCakeInstance,
                                    NotProportional, ProtocolNotPrimitive,
                                    SlotExhausted, ordered_to_locate_adapter,
                                    run_reduction, unordered_to_select_adapter)
 from rounds_lab.select import build_schedule, select_det
-from conftest import grid_point, sorted_instance, take_slot
+from conftest import grid_point, random_instance, sorted_instance, take_slot
 
 
 def protocol(k):
@@ -79,7 +79,7 @@ def realized_density(inst, pi, agent):
     of [0, mark_i] is then exactly i/n.
     """
     n = inst.n
-    half = inst.epsilon / 2
+    half = Fraction(1, 2 * inst.istep)
     unit = Fraction(1, n * (n + 1))
     marks = [Fraction(0)] + [instance_cut(inst, pi, agent, i)
                              for i in range(1, n + 1)]
@@ -110,7 +110,7 @@ def recover_permutation(allocation, instance):
         raise MalformedAllocation("expected %d slices" % (n,))
     for i in range(1, n):
         y = allocation.pieces[i - 1][1]
-        c = (y - Fraction(i, n + 1)) / instance.epsilon
+        c = (y - Fraction(i, n + 1)) * instance.istep
         if c.denominator != 1 or not 1 <= c <= n:
             raise NotProportional("slice boundary %s sits off grid %d" % (y, i))
     ranks = [None] * n
@@ -199,7 +199,7 @@ def test_bridge_recovers_every_small_permutation():
 @given(st.integers(min_value=2, max_value=20), st.integers(min_value=1, max_value=3),
        st.integers(min_value=0, max_value=10 ** 6))
 def test_bridge_recovers_random_permutations(n, k, seed):
-    perm = random_instance(n, random.Random(seed), with_target=False).ranks
+    perm = random_ranks(n, random.Random(seed))
     run_bridge(perm, k)
 
 
@@ -615,7 +615,7 @@ def test_protocol_that_shorts_an_agent_is_not_proportional():
     """Handing the first slice to the rank-2 agent leaves her n/(n(n+1)),
     under 1/n, however proportional the rest looks."""
     for n, k in ((3, 1), (8, 2), (20, 3)):
-        perm = random_instance(n, random.Random(n), with_target=False).ranks
+        perm = random_ranks(n, random.Random(n))
 
         def shorting(session, n):
             allocation = run_proportional(session, n, k)
@@ -626,5 +626,5 @@ def test_protocol_that_shorts_an_agent_is_not_proportional():
 
 
 def test_reduction_recovers_a_permutation_at_256_agents():
-    perm = random_instance(256, random.Random(256), with_target=False).ranks
+    perm = random_ranks(256, random.Random(256))
     run_bridge(perm, 2)
