@@ -338,8 +338,11 @@ def _run_select(cfg):
                 _within("mean_queries", mean, b["thm2_lo"], b["thm2_hi"]),
                 _at_least("success_rate", rate, p))
         return _measure(cfg, (select_mod.build_schedule(n, k, p),), trial, judge)
-    analytic = p * select_mod.exact_expected_queries(
-        select_mod.full_schedule(n, k))
+    # a trial's count is a p-coin times the cost c of a uniform target, so
+    # its mean is p*E[c] and its variance p*E[c**2] - (p*E[c])**2, exactly
+    mean_c, square_c = select_mod.query_moments(select_mod.full_schedule(n, k))
+    analytic = p * mean_c
+    sigma = math.sqrt(p * square_c - analytic ** 2)
     target = n  # any fixed index; the shuffled order makes them all alike
     ranks = range(1, n + 1)
 
@@ -351,7 +354,8 @@ def _run_select(cfg):
     def judge(b, top, mean, ci, rate):
         return rate, (
             _within("expected_queries", analytic, b["thm1_lo"], b["thm1_hi"]),
-            _near("mean_queries", mean, float(analytic), 3 * ci / 1.96 + 1e-9),
+            _near("mean_queries", mean, float(analytic),
+                  3 * sigma / math.sqrt(cfg.trials) + 1e-9),
             _sampled_rate(rate, p, cfg.trials))
     return _measure(cfg, _draws(cfg), trial, judge)
 

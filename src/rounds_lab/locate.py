@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import ceil
 
-from .oracle import TARGET, ProductBatch, RankQuery, read_run
+from .oracle import TARGET, ProductBatch, RankQuery, narrow
 from .util import (bernoulli, ceil_kth_root, group_sizes, normalized_weights,
                    useful_rounds)
 
@@ -52,14 +52,11 @@ def probe_positions(count, rounds_left):
     """0-based probe positions among `count` sorted candidates, as a tuple
     computed once per (count, rounds_left) while it stays in the cache.
 
-    With one round left every candidate is probed. Otherwise the probes
-    leave ceil(count**(1/rounds_left)) gaps whose sizes differ by at most
-    one, larger gaps first.
+    Defined for count >= 2 and rounds_left >= 2: the probes leave
+    ceil(count**(1/rounds_left)) gaps whose sizes differ by at most one,
+    larger gaps first. A lone candidate, or the last round, is probed
+    outright by the caller.
     """
-    if count <= 1:
-        return ()
-    if rounds_left <= 1:
-        return tuple(range(count))
     z = ceil_kth_root(count, rounds_left)
     sizes = group_sizes(count - (z - 1), z)
     positions = []
@@ -86,23 +83,20 @@ def locate_det_subset(session, n, k, ranks):
 
 
 def _locate_sorted(session, n, k, cands):
-    """locate_det_subset over candidates already sorted and duplicate-free."""
+    """locate_det_subset over candidates already sorted and duplicate-free.
+
+    The rank lies in [lo, hi], at first [1, n] by the promise, and `cands`
+    keeps only the candidates inside it. Each round probes them, `narrow`
+    reads the answers into a new interval and a bisection slices `cands`
+    to it, until the interval is one rank or no candidate is left.
+    """
     if not cands or cands[0] < 1 or cands[-1] > n:
         raise ValueError("candidate ranks must be a nonempty subset of 1..n")
     if k < 1:
         raise ValueError("k must be at least 1")
-    lo, hi = 1, n  # the promise pins the rank to [1, n]
+    lo, hi = 1, n
     rounds_left = useful_rounds(len(cands), k)
-    narrowed = lo > cands[0] or hi < cands[-1]
-    while True:
-        if narrowed:
-            # cands is sorted: slicing keeps a range a range, a list a list
-            cands = cands[bisect_left(cands, lo):bisect_right(cands, hi)]
-        if not cands:
-            return None
-        if lo == hi:
-            # earlier answers pinned the rank exactly, no query needed
-            return lo
+    while lo < hi and cands:
         assert rounds_left > 0, "plan must resolve within the round budget"
         if rounds_left == 1 or len(cands) == 1:
             # the last round, or a lone candidate, probes every candidate:
@@ -114,14 +108,10 @@ def _locate_sorted(session, n, k, cands):
         answers = session.submit_round(ProductBatch(RankQuery, (((TARGET,), probes),)))
         rounds_left -= 1
         # the probes ascend, so the round is one run
-        hit, first_less, last_greater = read_run(answers)
-        if hit >= 0:
-            return probes[hit]
-        if first_less >= 0:
-            hi = min(hi, probes[first_less] - 1)
-        if last_greater >= 0:
-            lo = max(lo, probes[last_greater] + 1)
-        narrowed = True
+        lo, hi = narrow(answers, probes, lo, hi)
+        # cands is sorted: slicing keeps a range a range, a list a list
+        cands = cands[bisect_left(cands, lo):bisect_right(cands, hi)]
+    return lo if cands and lo == hi else None
 
 
 def locate_det(session, n, k):

@@ -31,7 +31,8 @@ reader and one run writer: `read_thresholds` checks a block's thresholds
 (a positive-step `range` in O(1)) and hands them over ascending, with a
 gather back to block order when they were not; `rank_run` writes an
 item's answers to ascending thresholds, a run of `>`, at most one `=` and
-a run of `<`, by bisection. `read_run` reads such a run back.
+a run of `<`, by bisection. `narrow` reads such a run back as the
+item's rank interval, for `locate` and `sort_rank` alike.
 
 The two division backends answer with a `RationalAnswers` block: the
 batch's rational answers as integer numerator and denominator lists, so a
@@ -243,20 +244,27 @@ def read_thresholds(ts, n, check, first):
     return (ts, None) if ascending else sorted_gather(ts)
 
 
-def read_run(run):
-    """Read one item's answers to probes at ascending thresholds, a `str`:
-    (first `=`, first `<`, last `>`), each an index into the run or -1
-    when absent, the last two -1 whenever there is an `=`.
+def narrow(run, ts, lo, hi):
+    """Narrow an item's rank interval [lo, hi] by its answers to probes at
+    the ascending thresholds ts, repeats allowed, given as a `str` run.
 
-    What a scan in threshold order concludes from the run, consistent or
-    not, is decided by the first `=`, else by the first `<` (the lowest
-    cap) and the last `>` (the highest floor). A symbol other than `<`,
-    `=` and `>` reads as neither a cap nor a floor.
+    At the first `=`, at threshold t, the rank is t: (t, t). Otherwise the
+    first `<` (the lowest cap) bounds hi below its threshold and the last
+    `>` (the highest floor) bounds lo above its own, which is what a scan
+    in threshold order concludes too, consistent or not. A symbol other
+    than `<`, `=` and `>` reads as neither a cap nor a floor, and answers
+    no ranking gives may leave lo > hi.
     """
     hit = run.find(EQUAL)
     if hit >= 0:
-        return hit, -1, -1
-    return -1, run.find(LESS), run.rfind(GREATER)
+        return ts[hit], ts[hit]
+    cap = run.find(LESS)
+    if cap >= 0:
+        hi = min(hi, ts[cap] - 1)
+    floor = run.rfind(GREATER)
+    if floor >= 0:
+        lo = max(lo, ts[floor] + 1)
+    return lo, hi
 
 
 def is_identity(ranks):

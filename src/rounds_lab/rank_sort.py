@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from math import e
 
 from .oracle import (MalformedQuery, ProductBatch, RankQuery, Session,
-                     blocks_of, rank_run, read_run, read_thresholds)
+                     blocks_of, narrow, rank_run, read_thresholds)
 from .util import ceil_div, ceil_kth_root
 
 
@@ -56,10 +56,10 @@ def sort_rank(session, n, k):
 
     Each round is one `ProductBatch` of (items, thresholds) blocks, and
     the session answers it with one string, one symbol per query. Each
-    item's run of it is read by `oracle.read_run`'s three string searches
-    (`_read_round`), so a round costs Python steps per item and per block,
-    not per query. No query object is built unless the transcript's
-    `rounds` is read.
+    item's run of it is read into its new span by `oracle.narrow`'s three
+    string searches (`_read_round`), so a round costs Python steps per item
+    and per block, not per query. No query object is built unless the
+    transcript's `rounds` is read.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -91,29 +91,19 @@ def _read_round(plan, answers, resolved):
 
     `answers` is the round's answer string. Every item of a block was
     probed at the block's thresholds, which ascend, so its answers are one
-    slice of the string, read by `read_run`. An `=` pins the item at its
-    threshold. Otherwise the first `<` caps the item's span and the last
-    `>` raises its floor; that is what a threshold-by-threshold scan finds
-    too, even for inconsistent answers.
+    slice of the string, and `narrow` reads that slice into the item's new
+    span within the block's. A span of one rank resolves the item.
     """
     pending = {}
     pos = 0
     for lo, hi, ts, items in plan:
         width = len(ts)
         for item in items:
-            hit, first_less, last_greater = read_run(answers[pos:pos + width])
-            if hit >= 0:
-                resolved[item] = ts[hit]
+            bottom, top = narrow(answers[pos:pos + width], ts, lo, hi)
+            if bottom == top:
+                resolved[item] = bottom
             else:
-                top, bottom = hi, lo
-                if first_less >= 0:
-                    top = min(hi, ts[first_less] - 1)
-                if last_greater >= 0:
-                    bottom = max(lo, ts[last_greater] + 1)
-                if bottom == top:
-                    resolved[item] = bottom
-                else:
-                    pending.setdefault((bottom, top), []).append(item)
+                pending.setdefault((bottom, top), []).append(item)
             pos += width
     return pending
 

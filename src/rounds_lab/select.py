@@ -97,15 +97,24 @@ def select_rand(session, n, k, p, rng):
     return _probe(session, full_schedule(n, k), shuffled(n, rng))
 
 
-def exact_expected_queries(schedule):
-    """Expected query count of select_det over a uniform target, exactly.
+def query_moments(schedule):
+    """The first two moments (E[c], E[c**2]) of select_det's query count c
+    over a uniform target, exactly.
 
     Landing on a probe in round j costs the full prefix through round j;
-    never landing costs every scheduled probe. n times the expectation is
-    an integer sum, divided by n once.
+    never landing costs every scheduled probe. n times either moment is an
+    integer sum over the rounds, divided by n once.
     """
     n = schedule.n
     sizes = schedule.round_sizes
     issued = sum(sizes)
-    landed = sum(map(mul, sizes, accumulate(sizes)))
-    return Fraction(landed + (n - issued) * issued, n)
+    prefixes = tuple(accumulate(sizes))
+    landed = tuple(map(mul, sizes, prefixes))  # each round's summed cost
+    missed = n - issued
+    return (Fraction(sum(landed) + missed * issued, n),
+            Fraction(sum(map(mul, landed, prefixes)) + missed * issued ** 2, n))
+
+
+def exact_expected_queries(schedule):
+    """Expected query count of select_det over a uniform target, exactly."""
+    return query_moments(schedule)[0]

@@ -44,6 +44,17 @@ def test_fraction_and_mc_flags(capsys):
     assert float(row["p"]) == 0.5
 
 
+def test_few_sampled_select_trials_are_judged_by_the_exact_spread(capsys):
+    """Every run of this row asks 6 queries or, when its coin says so,
+    none, so two trials' own spread is often 0. The mean's band comes from
+    the exact variance of a trial's count instead, and no seed fails."""
+    for seed in range(200):
+        code, _, err = run_cli(capsys, "select", "--n", "7", "--k", "1",
+                               "--p", "1/3", "--mode", "mc", "--trials", "2",
+                               "--seed", str(seed))
+        assert (code, err) == (0, ""), seed
+
+
 def test_out_file_and_svg(tmp_path, capsys):
     out = tmp_path / "sweep.svg"
     code, stdout, _ = run_cli(capsys, "bounds", "--n", str(2 ** 30), "--k", "4",

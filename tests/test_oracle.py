@@ -14,8 +14,8 @@ from rounds_lab.oracle import (EQUAL, GREATER, LESS, TARGET, ComparisonQuery,
                                HiddenInstance, MalformedQuery, ProductBatch,
                                RankQuery, RationalAnswers, RoundLimitExceeded,
                                RoundTranscript, Session, compare,
-                               is_identity, is_permutation, open_session,
-                               pairs_of, random_ranks, rank_run)
+                               is_identity, is_permutation, narrow,
+                               open_session, pairs_of, random_ranks, rank_run)
 from rounds_lab.rank_sort import AdversaryState
 from rounds_lab.reductions import (AdversaryCakeBackend, LocateComparisonBackend,
                                    SelectComparisonBackend,
@@ -108,6 +108,27 @@ def test_rank_run_answers_as_a_compare_per_threshold(ts, r):
     for lo in range(bisect_left(ts, r) + 1):
         for hi in range(bisect_right(ts, r), len(ts) + 1):
             assert rank_run(ts, r, lo, hi) == want
+
+
+@given(ascending_thresholds(), st.integers(-4, 16), st.integers(-4, 16), st.data())
+def test_narrow_reads_a_run_as_a_scan_in_threshold_order(ts, lo, hi, data):
+    """`narrow` ends where a scan of the run answer by answer ends: the
+    first `=` pins the rank at its threshold, every `<` caps it below its
+    threshold, every `>` floors it above, and a foreign symbol says
+    nothing. Runs are a rank's own or arbitrary, so often inconsistent."""
+    run = data.draw(st.one_of(
+        st.integers(-4, 16).map(lambda r: rank_run(ts, r)),
+        st.text("<=>?", min_size=len(ts), max_size=len(ts))), label="run")
+    want = lo, hi
+    for answer, t in zip(run, ts):
+        if answer == EQUAL:
+            want = t, t
+            break
+        if answer == LESS:
+            want = want[0], min(want[1], t - 1)
+        elif answer == GREATER:
+            want = max(want[0], t + 1), want[1]
+    assert narrow(run, ts, lo, hi) == want
 
 
 @given(perms)

@@ -7,7 +7,8 @@ from hypothesis import given, strategies as st
 
 from rounds_lab.oracle import HiddenInstance, open_session
 from rounds_lab.select import (build_schedule, exact_expected_queries,
-                               full_schedule, select_det, select_rand)
+                               full_schedule, query_moments, select_det,
+                               select_rand)
 from conftest import shuffled_ranks
 
 fractions = st.fractions(min_value=0, max_value=1, max_denominator=60)
@@ -71,6 +72,19 @@ def test_expected_queries_matches_average(n, data):
         _, _, tr = run_on_target(n, k, sched, target)
         total += tr.total_queries
     assert total / n == exact_expected_queries(sched)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_query_moments_match_target_enumeration(n):
+    """Both moments of the query count over a uniform target, for every k
+    and every p = j/n, equal the averages over all n targets."""
+    for k in range(1, n + 1):
+        for j in range(n + 1):
+            sched = build_schedule(n, k, Fraction(j, n))
+            counts = [run_on_target(n, k, sched, target)[2].total_queries
+                      for target in range(1, n + 1)]
+            assert query_moments(sched) == (
+                Fraction(sum(counts), n), Fraction(sum(c * c for c in counts), n))
 
 
 # The Fraction formulas that the integer schedule and expectation replaced,
