@@ -9,12 +9,17 @@ no tolerance.
 
 Division queries go through the shared round-limited `Session` (exported
 here under its division name `CakeSession`); `DensityBackend` answers them
-from actual densities.
+from actual densities. It and `reductions.AdversaryCakeBackend` read a
+batch through one block reader, `division_blocks`, which hands over the
+nonempty blocks and judges each block's kind and first agent on reaching
+it.
 
 Answers are exact and cost no `Fraction`. A `PiecewiseDensity` keeps
 integer images of itself next to its public `Fraction` fields: breakpoints
 and prefix masses over common denominators, and two integer constants per
-segment. It validates on those integers. Within a segment a cut and an
+segment, all built by `_set_images`, whether the constructor checked the
+fields first or `_from_images` takes a caller's word for them. The
+constructor validates on those integers. Within a segment a cut and an
 eval are affine in the level, so a density answers ascending levels p/D,
 over one common denominator D, in runs: a bisect finds the segment of the
 lowest level left and another ends its run of levels there, and the run's
@@ -70,28 +75,19 @@ class PiecewiseDensity:
             raise ValueError("need exactly one more breakpoint than heights")
         if bps[0] != 0 or bps[-1] != 1:
             raise ValueError("density must span [0, 1]")
-        # integer images: breakpoint j is bpn[j]/bden, height j is hn[j]/hden
-        # and the mass left of breakpoint j is cumn[j]/mden, mden = bden*hden
         bden = lcm(*[b.denominator for b in bps])
         hden = lcm(*[h.denominator for h in hs])
         bpn = [b.numerator * (bden // b.denominator) for b in bps]
         hn = [h.numerator * (hden // h.denominator) for h in hs]
-        acc = 0
-        cumn = [0]
-        prev = 0
-        for h, b in zip(hn, bpn[1:]):
-            if prev >= b:
+        for h, a, b in zip(hn, bpn, bpn[1:]):
+            if a >= b:
                 raise ValueError("breakpoints must increase strictly")
             if h < 0:
                 raise ValueError("heights must be nonnegative")
-            acc += h * (b - prev)
-            cumn.append(acc)
-            prev = b
-        mden = bden * hden
-        if acc != mden:
+        self._set_images(bps, hs, bpn, bden, hn, hden)
+        if self._cumn[-1] != self._mden:
             raise ValueError("total mass must be exactly 1, got %s"
-                             % (Fraction(acc, mden),))
-        self._set_images(bps, hs, bpn, bden, hn, cumn, mden)
+                             % (Fraction(self._cumn[-1], self._mden),))
 
     @classmethod
     def _from_images(cls, breakpoints, heights, bpn, bden, hn, hden):
@@ -100,21 +96,23 @@ class PiecewiseDensity:
         every check of the constructor, and bpn[j]/bden and hn[j]/hden
         equal breakpoint j and height j."""
         self = object.__new__(cls)
+        self._set_images(breakpoints, heights, bpn, bden, hn, hden)
+        return self
+
+    def _set_images(self, breakpoints, heights, bpn, bden, hn, hden):
+        # integer images: breakpoint j is bpn[j]/bden, height j is hn[j]/hden
+        # and the mass left of breakpoint j is cumn[j]/mden, mden = bden*hden.
+        # On segment j, cut(p/q) = (q*ks[j] + p*mden) / (q*ls[j]) and
+        # prefix(p/q) = (p*ls[j] - q*ks[j]) / (q*mden). The instance is
+        # frozen, so every field goes in by one update of its __dict__
         acc = 0
         cumn = [0]
         for h, a, b in zip(hn, bpn, bpn[1:]):
             acc += h * (b - a)
             cumn.append(acc)
-        self._set_images(breakpoints, heights, bpn, bden, hn, cumn, bden * hden)
-        return self
-
-    def _set_images(self, breakpoints, heights, bpn, bden, hn, cumn, mden):
-        # on segment j, cut(p/q) = (q*ks[j] + p*mden) / (q*ls[j]) and
-        # prefix(p/q) = (p*ls[j] - q*ks[j]) / (q*mden). The instance is
-        # frozen, so every field goes in by one update of its __dict__
         self.__dict__.update(
             breakpoints=breakpoints, heights=heights, _bpn=bpn, _bden=bden,
-            _cumn=cumn, _mden=mden,
+            _cumn=cumn, _mden=bden * hden,
             _ks=[h * b - c for h, b, c in zip(hn, bpn, cumn)],
             _ls=[bden * h for h in hn])
 
@@ -256,6 +254,24 @@ def check_agent(agent, n):
         raise MalformedQuery("agent out of range: %r" % (agent,))
 
 
+def division_blocks(batch, n):
+    """The nonempty blocks of `blocks_of(batch)` as (cut, agents, levels)
+    triples, cut true for a `CutQuery` block and false for an `EvalQuery`
+    one. Only on reaching a block does it raise MalformedQuery for any
+    other kind, then for the block's first agent unless it is in 1..n, so
+    the blocks ahead of a bad one are answered first, and a backend judges
+    the block's levels and its other agents itself."""
+    for kind, agents, levels in blocks_of(batch):
+        if not agents or not levels:
+            continue  # asks nothing, so nothing in it is judged
+        cut = kind is CutQuery
+        if not cut and kind is not EvalQuery:
+            raise MalformedQuery("unknown division query: %r"
+                                 % (query_at(kind, agents[0], levels[0]),))
+        check_agent(agents[0], n)
+        yield cut, agents, levels
+
+
 class DensityBackend:
     """Answers division queries from actual piecewise densities."""
 
@@ -263,35 +279,29 @@ class DensityBackend:
         self.agents = tuple(agents)
 
     def answer_batch(self, batch):
-        """Answer one batch block by block into a `RationalAnswers` block:
-        a cut block asks its agents' `cut`, an eval block their `prefix`,
-        at the block's levels. The levels are put once per block over
-        their least common denominator D, as ascending numerators: a
-        `range` when they form a progression, as j/n for j = 1..n-1 do. A
-        `PiecewiseDensity` answers them from its integer images, one
-        affine run per segment and no `Fraction` made; levels that do not
-        ascend are answered in ascending order and gathered back into
-        block order. Any other density is asked its own `cut` or `prefix`,
-        and the result's numerator and denominator are kept. The pairs
-        equal the answers but are not in lowest terms; levels with large
-        coprime denominators make D, and so each pair, as long as their
-        product.
+        """Answer one batch, read through `division_blocks`, block by block
+        into a `RationalAnswers` block: a cut block asks its agents' `cut`, an
+        eval block their `prefix`, at the block's levels. The levels are put
+        once per block over their least common denominator D, as ascending
+        numerators: a `range` when they form a progression, as j/n for j =
+        1..n-1 do. A `PiecewiseDensity` answers them from its integer images,
+        one affine run per segment and no `Fraction` made; levels that do not
+        ascend are answered in ascending order and gathered back into block
+        order. Any other density is asked its own `cut` or `prefix`, and the
+        result's numerator and denominator are kept. The pairs equal the
+        answers but are not in lowest terms; levels with large coprime
+        denominators make D, and so each pair, as long as their product.
 
-        A block's levels are checked once, each agent before its levels,
-        and every agent is asked for the answers ahead of the first bad
-        level, just as query-by-query checking does.
+        `division_blocks` judges a block's kind and first agent on
+        reaching it. Its levels are then checked once, each agent before
+        its levels, and every agent is asked for the answers ahead of the
+        first bad level, just as query-by-query checking does.
         """
         agents = self.agents
         n = len(agents)
         nums = []
         dens = []
-        for kind, ids, xs in blocks_of(batch):
-            if not ids or not xs:
-                continue
-            cut = kind is CutQuery
-            if not cut and kind is not EvalQuery:
-                raise MalformedQuery("unknown division query: %r"
-                                     % (query_at(kind, ids[0], xs[0]),))
+        for cut, ids, xs in division_blocks(batch, n):
             good = 0  # levels ahead of the first bad one
             for x in xs:
                 if ((x.__class__ is not Fraction and not isinstance(x, Rational))

@@ -22,6 +22,15 @@ KNOWN_ERRORS = (harness.InfeasibleExact, harness.SearchSpaceTooLarge,
                 ValueError, OSError)
 
 
+def _fraction(text):
+    """--p as a `Fraction`; a zero denominator is a usage error too."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            "invalid Fraction value: %r" % (text,)) from None
+
+
 @cache
 def build_parser():
     """The one parser of this process. parse_args leaves a parser as it
@@ -35,7 +44,7 @@ def build_parser():
                         help="instance size (array length or agent count)")
     parser.add_argument("--k", type=int, required=True,
                         help="round budget")
-    parser.add_argument("--p", type=Fraction, default=Fraction(1),
+    parser.add_argument("--p", type=_fraction, default=Fraction(1),
                         help="success probability target, e.g. 1/2 or 0.25")
     parser.add_argument("--trials", type=int, default=None,
                         help="sample count for mc mode (per-problem default)")

@@ -460,15 +460,11 @@ def brute_force_select(n, k, p):
         total = sum(sizes)
         if total > n:
             continue
-        covered = min(n, total + (1 if total < n else 0))
+        covered = min(n, total + 1)
         if Fraction(covered, n) < p:
             continue
-        ev = Fraction(0)
-        prefix = 0
-        for s in sizes:
-            prefix += s
-            ev += Fraction(s, n) * prefix
-        ev += Fraction(n - total, n) * total
+        ev = select_mod.exact_expected_queries(
+            select_mod.SelectSchedule(n, k, p, sizes))
         if best is None or ev < best:
             best = ev
     return best

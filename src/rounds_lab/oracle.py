@@ -34,7 +34,10 @@ item's answers to ascending thresholds, a run of `>`, at most one `=` and
 a run of `<`, by bisection. `narrow` reads such a run back as the
 item's rank interval, for `locate` and `sort_rank` alike.
 
-The two division backends answer with a `RationalAnswers` block: the
+The two division backends share one block reader, as the rank backends
+share `read_thresholds`: `cake.division_blocks` hands each nonempty
+block over as (cut, agents, levels), with its kind and first agent
+judged on reaching it. They answer with a `RationalAnswers` block: the
 batch's rational answers as integer numerator and denominator lists, so a
 round costs no `Fraction` per answer until a `Fraction` is read from it;
 algorithms read rational answers as integer pairs through `pairs_of`,

@@ -13,7 +13,10 @@ probe per new mark. Any division protocol that only ever cuts at multiples
 of 1/n and ends proportional is thereby forced to reveal the hidden
 ordering of the agents.
 
-The adversary works on integer images of its grids. Grid point (i, c)
+The adversary reads a division batch through `cake.division_blocks`, as
+`cake.DensityBackend` does, so both judge a block's kind and first agent
+alike, and it maps each block's levels by its cut or eval rule.
+It works on integer images of its grids. Grid point (i, c)
 is one integer over a common denominator (`AdversaryCakeInstance.istep`,
 `cstep` and `den`). A cut argument maps to its grid by a divisibility test,
 `points` is keyed by those integers, and an eval compares slots on one
@@ -32,11 +35,10 @@ from fractions import Fraction
 from itertools import groupby
 from operator import itemgetter
 
-from .cake import CutQuery, EvalQuery, check_agent, check_allocation
+from .cake import check_agent, check_allocation, division_blocks
 from .oracle import (LESS, GREATER, ComparisonQuery, MalformedQuery,
                      ProductBatch, RankQuery, RationalAnswers, Session, TARGET,
-                     blocks_of, compare, is_identity, is_permutation,
-                     query_at)
+                     blocks_of, compare, is_identity, is_permutation)
 
 
 _ZERO = Fraction(0)
@@ -214,19 +216,9 @@ class AdversaryCakeBackend:
         # None for a cut), or (0, answer) at 0 and 1
         plan = []
         new = {}  # (agent, i) pairs to probe, in order of first appearance
-        for kind, agents, xs in blocks_of(batch):
-            if not agents or not xs:
-                continue
-            if kind is CutQuery:
-                level = self._cut_level
-            elif kind is EvalQuery:
-                level = self._eval_level
-            else:
-                raise MalformedQuery("unknown division query: %r"
-                                     % (query_at(kind, agents[0], xs[0]),))
-            # the first agent is judged before the levels, each level once
-            check_agent(agents[0], n)
-            levels = [level(x) for x in xs]
+        for cut, agents, xs in division_blocks(batch, n):
+            # each level once, after the block's first agent
+            levels = list(map(self._cut_level if cut else self._eval_level, xs))
             grids = [i for i, _ in levels if i]
             for agent in agents:
                 check_agent(agent, n)

@@ -166,11 +166,18 @@ def test_a_rejected_call_leaves_the_parser_usable(capsys):
     assert parse_rows(out)[0]["p"] == "1.0"
 
 
-def test_missing_required_flags():
+def test_missing_required_flags(capsys):
     with pytest.raises(SystemExit):
         cli.main(["locate", "--n", "4"])
     with pytest.raises(SystemExit):
         cli.main(["mystery", "--n", "4", "--k", "1"])
+    # a zero denominator is a usage error, not a ZeroDivisionError
+    for p in ("1/0", "0/0"):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["locate", "--n", "4", "--k", "2", "--p", p])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
 MC1 = ("--mode", "mc", "--trials", "1")
