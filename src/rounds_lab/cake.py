@@ -11,8 +11,7 @@ Division queries go through the shared round-limited `Session` (exported
 here under its division name `CakeSession`); `DensityBackend` answers them
 from actual densities. It and `reductions.AdversaryCakeBackend` read a
 batch through one block reader, `division_blocks`, which hands over the
-nonempty blocks and judges each block's kind and first agent on reaching
-it.
+blocks and judges each block's kind and first agent on reaching it.
 
 Answers are exact and cost no `Fraction`. A `PiecewiseDensity` keeps
 integer images of itself next to its public `Fraction` fields: breakpoints
@@ -255,15 +254,14 @@ def check_agent(agent, n):
 
 
 def division_blocks(batch, n):
-    """The nonempty blocks of `blocks_of(batch)` as (cut, agents, levels)
-    triples, cut true for a `CutQuery` block and false for an `EvalQuery`
-    one. Only on reaching a block does it raise MalformedQuery for any
+    """The blocks of `blocks_of(batch)` as (cut, agents, levels) triples,
+    cut true for a `CutQuery` block and false for an `EvalQuery` one; each
+    has an agent and a level, since `blocks_of` yields no block that asks
+    nothing. Only on reaching a block does it raise MalformedQuery for any
     other kind, then for the block's first agent unless it is in 1..n, so
     the blocks ahead of a bad one are answered first, and a backend judges
     the block's levels and its other agents itself."""
     for kind, agents, levels in blocks_of(batch):
-        if not agents or not levels:
-            continue  # asks nothing, so nothing in it is judged
         cut = kind is CutQuery
         if not cut and kind is not EvalQuery:
             raise MalformedQuery("unknown division query: %r"

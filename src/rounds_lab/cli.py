@@ -74,8 +74,7 @@ def main(argv=None):
     try:
         config = harness.ExperimentConfig(
             problem=args.problem, n=args.n, k=args.k, p=args.p,
-            trials=trials, seed=args.seed, mode=args.mode,
-            out=args.out, fmt=args.fmt)
+            trials=trials, seed=args.seed, mode=args.mode)
         agents = None
         if args.cake_file:
             with open(args.cake_file) as fh:
@@ -89,11 +88,11 @@ def main(argv=None):
             with open(args.save_cake, "w") as fh:
                 fh.write(cake_mod.format_cake_file(agents))
         report = harness.run_experiment(config, fixed_cake_agents=agents)
-        text = harness.emit_report(report, fmt=config.fmt, out=config.out)
+        text = harness.emit_report(report, fmt=args.fmt, out=args.out)
     except KNOWN_ERRORS as exc:
         print("%s: %s" % (exc.__class__.__name__, exc), file=sys.stderr)
         return 2
-    if config.out is None:
+    if args.out is None:
         sys.stdout.write(text)
     for row in report.rows:
         for check in row.checks:

@@ -150,8 +150,6 @@ class ExperimentConfig:
     trials: int = 100_000
     seed: int = 0
     mode: str = "exact"
-    out: str = None
-    fmt: str = "csv"
 
     def __post_init__(self):
         if self.problem not in PROBLEMS:
@@ -167,8 +165,6 @@ class ExperimentConfig:
             raise ValueError("n and k must be positive")
         if self.trials < 1:
             raise ValueError("trials must be positive")
-        if self.fmt not in _RENDERERS:
-            raise ValueError("format must be csv or svg")
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,10 @@ given as a tuple or a `range` is not even copied, so a search's last round,
 which probes a `range` of candidates, costs O(1) to submit. Every
 backend reads a batch one way, as the (kind, items, levels) blocks that
 `blocks_of` returns, in one loop: a flat batch is one 1 × 1 block per
-query. A malformed block raises what its first malformed query raises
-when the same queries are checked one at a time, item-major.
+query. Neither form ever yields a block that asks nothing, as a
+`ProductBatch` keeps no such block, so no backend skips one itself. A
+malformed block raises what its first malformed query raises when the
+same queries are checked one at a time, item-major.
 
 A rank or comparison batch is answered with one `str`, one symbol (`<`,
 `=` or `>`) per query, so a round costs one byte per answer. The two rank
@@ -35,14 +37,14 @@ a run of `<`, by bisection. `narrow` reads such a run back as the
 item's rank interval, for `locate` and `sort_rank` alike.
 
 The two division backends share one block reader, as the rank backends
-share `read_thresholds`: `cake.division_blocks` hands each nonempty
-block over as (cut, agents, levels), with its kind and first agent
-judged on reaching it. They answer with a `RationalAnswers` block: the
-batch's rational answers as integer numerator and denominator lists, so a
-round costs no `Fraction` per answer until a `Fraction` is read from it;
-algorithms read rational answers as integer pairs through `pairs_of`,
-whichever form they come in. Either block is immutable, and the session
-keeps and returns it as it is.
+share `read_thresholds`: `cake.division_blocks` hands each block over as
+(cut, agents, levels), with its kind and first agent judged on reaching
+it. They answer with a `RationalAnswers` block: the batch's rational
+answers as integer numerator and denominator lists, so a round costs no
+`Fraction` per answer until a `Fraction` is read from it; algorithms read
+rational answers as integer pairs through `pairs_of`, whichever form they
+come in. Either block is immutable, and the session keeps and returns it
+as it is.
 
 `HiddenInstance` checks that its ranks are a permutation of 1..n. A
 `range` checks in O(1). An identity tuple of at least 4096 exact ints is
@@ -96,7 +98,9 @@ class ProductBatch:
     is, being immutable, and anything else is copied into a tuple, so
     changing the caller's lists afterwards does not change the batch;
     nothing here assigns its attributes after that, and callers must not
-    either.
+    either. A block with no items or no levels asks nothing, so `blocks`
+    holds only the blocks that ask something: no backend ever sees, or
+    judges, an empty one.
     """
 
     __slots__ = ("kind", "blocks", "_size")
@@ -109,8 +113,9 @@ class ProductBatch:
                 items = tuple(items)
             if levels.__class__ is not tuple and levels.__class__ is not range:
                 levels = tuple(levels)
-            size += len(items) * len(levels)
-            frozen.append((kind, items, levels))
+            if items and levels:
+                size += len(items) * len(levels)
+                frozen.append((kind, items, levels))
         self.kind = kind
         self.blocks = tuple(frozen)
         self._size = size
@@ -379,8 +384,6 @@ class HiddenInstance:
         ti = self.target_index
         out = []
         for kind, items, ts in blocks_of(batch):
-            if not items or not ts:
-                continue  # asks nothing, so nothing in it is judged
             if kind is RankQuery:
                 ts, gather = read_thresholds(ts, n, self._rank, items[0])
                 # a select round's one threshold is one comparison per item:
@@ -405,9 +408,7 @@ class HiddenInstance:
                         if left == right:
                             raise MalformedQuery(
                                 "comparison needs two distinct references")
-                        a = rank(left)
-                        b = rank(right)
-                        out.append(LESS if a < b else EQUAL if a == b else GREATER)
+                        out.append(compare(rank(left), rank(right)))
             else:
                 raise MalformedQuery("unknown query type: %r"
                                      % (query_at(kind, items[0], ts[0]),))

@@ -108,9 +108,10 @@ def _read_round(plan, answers, resolved):
     return pending
 
 
-@dataclass
+@dataclass(eq=False)
 class Segment:
-    """Items whose relative order is still free, holding ranks [lo, hi]."""
+    """Items whose relative order is still free, holding ranks [lo, hi].
+    Hashes by identity, so the opponent files pending runs under it."""
 
     items: tuple
     lo: int
@@ -152,10 +153,8 @@ class AdversaryState:
         segment_of = {item: seg for seg in self.segments for item in seg.items}
         out = []  # each (block, item)'s answers, in batch order
         gathers = []  # (first slot, item count, gather) per block not ascending
-        by_segment = {}  # id(seg) -> (seg, {item: [pending runs]})
+        by_segment = {}  # open Segment -> {item: [pending runs]}
         for kind, items, ts in blocks_of(batch):
-            if not ts or not items:
-                continue  # asks nothing, so nothing in it is judged
             if kind is not RankQuery:
                 raise MalformedQuery("the opponent only serves rank queries")
             ts, gather = read_thresholds(ts, n, check, items[0])
@@ -177,16 +176,9 @@ class AdversaryState:
                 # slot, thresholds, first pending, end of the pending ones
                 run = [len(out), ts, below, end]
                 out.append(None)
-                entry = by_segment.get(id(seg))
-                if entry is None:
-                    entry = by_segment[id(seg)] = (seg, {})
-                rs = entry[1].get(item)
-                if rs is None:
-                    entry[1][item] = [run]
-                else:
-                    rs.append(run)
-        self.segments = [s for s in self.segments if id(s) not in by_segment]
-        for seg, runs in by_segment.values():
+                by_segment.setdefault(seg, {}).setdefault(item, []).append(run)
+        self.segments = [s for s in self.segments if s not in by_segment]
+        for seg, runs in by_segment.items():
             _carve(self, seg.items, seg.lo, seg.hi, runs, out)
         for first, count, gather in gathers:
             for slot in range(first, first + count):

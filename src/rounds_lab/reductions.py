@@ -71,8 +71,6 @@ class LocateComparisonBackend:
     def answer_batch(self, batch):
         blocks = []
         for kind, items, ts in blocks_of(batch):
-            if not items or not ts:
-                continue
             if kind is not RankQuery or any(item != TARGET for item in items):
                 raise MalformedQuery(
                     "this view only serves rank probes on the promised element")
@@ -102,8 +100,6 @@ class SelectComparisonBackend:
         r = self.inner.promised_rank
         blocks = []
         for kind, items, ts in blocks_of(batch):
-            if not items or not ts:
-                continue
             if kind is not RankQuery or any(t != r for t in ts):
                 raise MalformedQuery(
                     "this view only serves rank probes at the promised rank")

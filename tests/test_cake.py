@@ -8,7 +8,8 @@ from rounds_lab.cake import (Allocation, CakeSession, CutQuery, DensityBackend,
                              EvalQuery, MalformedAllocation, PiecewiseDensity,
                              assign_subcakes, format_cake_file,
                              parse_cake_file, proportional_protocol,
-                             random_density, verify_proportional)
+                             random_density, run_proportional,
+                             verify_proportional)
 from rounds_lab.oracle import MalformedQuery, RankQuery
 from rounds_lab.util import group_sizes
 from conftest import mark_rows
@@ -133,6 +134,14 @@ def test_single_agent_takes_everything():
     allocation, tr = check_protocol([UNIFORM], 3)
     assert allocation.pieces == ((F(0), F(1)),)
     assert tr.total_queries == 0
+
+
+def test_run_proportional_rejects_bad_arguments():
+    for n, k in ((0, 1), (1, 0)):
+        session = CakeSession(DensityBackend([UNIFORM]), 1)
+        with pytest.raises(ValueError):
+            run_proportional(session, n, k)
+        assert session.rounds_used == 0
 
 
 @settings(deadline=None, max_examples=60)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from rounds_lab.cake import PiecewiseDensity
 from rounds_lab.harness import (CSV_COLUMNS, DEFAULT_BUDGET, BUDGET_ENV,
                                 BoundReport, ExperimentConfig, InfeasibleExact,
                                 IoFailure, SearchSpaceTooLarge, bounds,
@@ -49,7 +50,9 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(problem="locate", n=0, k=2)
     with pytest.raises(ValueError):
-        ExperimentConfig(problem="locate", n=4, k=2, fmt="png")
+        ExperimentConfig(problem="locate", n=4, k=2, mode="fast")
+    with pytest.raises(ValueError):
+        ExperimentConfig(problem="locate", n=4, k=2, trials=0)
 
 
 def run(problem, **kw):
@@ -99,6 +102,20 @@ def test_exact_gates():
         run("reduce", n=10, k=2, trials=1)
 
 
+def test_fixed_cake_agents_must_fit_the_config():
+    """Fixed agents are refused for any problem but cake, and for a cake
+    config whose n they do not match."""
+    uniform = PiecewiseDensity((0, 1), (1,))
+    with pytest.raises(ValueError, match="only apply to the cake problem"):
+        run_experiment(ExperimentConfig(problem="locate", n=2, k=1),
+                       fixed_cake_agents=[uniform, uniform])
+    with pytest.raises(ValueError, match="instance has 2 agents, expected 3"):
+        run_experiment(ExperimentConfig(problem="cake", n=3, k=2),
+                       fixed_cake_agents=[uniform, uniform])
+    assert run_experiment(ExperimentConfig(problem="cake", n=2, k=1),
+                          fixed_cake_agents=[uniform, uniform]).all_pass
+
+
 def test_budget_env_tightens_gates(monkeypatch):
     monkeypatch.setenv(BUDGET_ENV, "50")
     with pytest.raises(InfeasibleExact):
@@ -134,6 +151,8 @@ def test_brute_force_select_matches_schedule():
     assert brute_force_select(4, 1, Fraction(1)) == 3
     with pytest.raises(SearchSpaceTooLarge):
         brute_force_select(6, 1, Fraction(1))
+    with pytest.raises(ValueError):
+        brute_force_select(1, 2, Fraction(1))
 
 
 def test_brute_force_locate_values():
@@ -143,6 +162,8 @@ def test_brute_force_locate_values():
     assert brute_force_locate(32, 3) <= 3 * 4
     with pytest.raises(SearchSpaceTooLarge):
         brute_force_locate(33, 2)
+    with pytest.raises(ValueError):
+        brute_force_locate(0, 1)
 
 
 def test_csv_report_shape(tmp_path):

@@ -134,6 +134,8 @@ def test_rejects_bad_arguments():
     with pytest.raises(ValueError):
         locate_det_subset(sess, 10, 2, [0, 3])
     with pytest.raises(ValueError):
+        locate_det_subset(sess, 10, 0, [3])
+    with pytest.raises(ValueError):
         locate_det_dist(sess, 10, 2, Fraction(0), uniform)
 
 

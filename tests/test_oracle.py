@@ -286,6 +286,8 @@ def test_transcript_equality_and_hash_follow_the_pairs(left, right, k1, k2):
         assert hash(a) == hash(b)
     assert "rounds" not in twin.__dict__
     assert a == twin and hash(a) == hash(twin)
+    # anything but a transcript is left to the other side to compare
+    assert a.__eq__(5) is NotImplemented and a != 5
 
 
 def test_session_refuses_a_backend_that_miscounts_its_answers():

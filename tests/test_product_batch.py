@@ -75,6 +75,16 @@ def test_batch_iterates_like_its_queries():
     assert tuple(ProductBatch(RankQuery, [])) == () and len(ProductBatch(RankQuery, [])) == 0
 
 
+def test_batch_keeps_only_blocks_that_ask_something():
+    """A block with no items or no levels adds no query, so it is not
+    kept: no backend sees it."""
+    pb = ProductBatch(RankQuery, [((1,), (2,)), ((), (3,)), ([4], [])])
+    assert pb.blocks == ((RankQuery, (1,), (2,)),) and len(pb) == 1
+    assert repr(ProductBatch(RankQuery, [((1,), (2,)), ((), (3,))])) == (
+        "ProductBatch(RankQuery, (((1,), (2,)),))")
+    assert ProductBatch(CutQuery, [((), ()), (range(3), range(0))]).blocks == ()
+
+
 @settings(deadline=None, max_examples=300)
 @given(st.integers(min_value=1, max_value=9), st.integers(min_value=0, max_value=10 ** 6),
        st.booleans(), st.data())

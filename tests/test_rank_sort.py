@@ -5,7 +5,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rounds_lab.oracle import (EQUAL, GREATER, LESS, HiddenInstance,
+from rounds_lab.oracle import (EQUAL, GREATER, LESS, ComparisonQuery, HiddenInstance,
                                MalformedQuery, ProductBatch, RankQuery,
                                RoundLimitExceeded, Session, compare, open_session,
                                random_ranks)
@@ -145,6 +145,13 @@ def test_adversary_session_enforces_rounds():
         sess.submit_round([RankQuery(2, 2)])
     with pytest.raises(MalformedQuery):
         Session(AdversaryState(4), 1).submit_round([RankQuery(9, 1)])
+
+
+def test_sort_needs_a_round():
+    session = Session(AdversaryState(4), 1)
+    with pytest.raises(ValueError):
+        sort_rank(session, 4, 0)
+    assert session.rounds_used == 0
 
 
 def test_lower_bound_values():
@@ -358,12 +365,17 @@ def test_opponent_refuses_a_malformed_block_before_it_commits():
         (([9, 1], [3, True]), "item index out of range: 9"),
         (([1], [3, 2.0]), "threshold out of range: 2.0"),
     ]
-    for bad, message in batches:
+    batches = [(ProductBatch(RankQuery, [([2, 3, 4], [2, 5]), bad]), message)
+               for bad, message in batches]
+    # a block of any other kind is refused whole
+    batches.append(([RankQuery(2, 2), ComparisonQuery(2, 3)],
+                    "the opponent only serves rank queries"))
+    for batch, message in batches:
         state = AdversaryState(6)
         state.answer_batch([RankQuery(1, 3)])
         resolved, segments = dict(state.resolved), segment_list(state)
         with pytest.raises(MalformedQuery) as raised:
-            state.answer_batch(ProductBatch(RankQuery, [([2, 3, 4], [2, 5]), bad]))
+            state.answer_batch(batch)
         assert str(raised.value) == message
         assert state.resolved == resolved and segment_list(state) == segments
 

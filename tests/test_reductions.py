@@ -166,6 +166,16 @@ def test_adversary_cake_separates_marks_by_rank():
                     assert y > pivot
 
 
+def test_pin_refuses_a_slot_on_the_wrong_side():
+    """Grid 1 has no point below its reserved slot c = 1, so an agent
+    ranked below 1 cannot be pinned there; the refusal records nothing."""
+    inst = AdversaryCakeInstance(3)
+    with pytest.raises(SlotExhausted):
+        inst.pin(1, 1, LESS)
+    assert inst.slots == {} and inst.counts == {} and inst.points == {}
+    assert inst.pin(1, 1, EQUAL) == 1
+
+
 def test_between_grid_values_reveal_nothing():
     """Off the spikes the realized value is pinned by position alone."""
     inst = AdversaryCakeInstance(3)

@@ -28,6 +28,16 @@ def test_schedule_frozen_examples():
     assert build_schedule(10, 2, Fraction(1, 100)).round_sizes == (0, 0)
 
 
+def test_schedule_rejects_bad_arguments():
+    for n, k, p, message in ((0, 1, 1, "n must be positive"),
+                             (4, 5, 1, "k must be in 1..n"),
+                             (4, 0, 1, "k must be in 1..n"),
+                             (4, 2, 2, r"p must be in \[0, 1\]"),
+                             (4, 2, -1, r"p must be in \[0, 1\]")):
+        with pytest.raises(ValueError, match=message):
+            build_schedule(n, k, p)
+
+
 @given(st.integers(min_value=1, max_value=500), st.data())
 def test_schedule_budget(n, data):
     k = data.draw(st.integers(min_value=1, max_value=n))

@@ -3,8 +3,9 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from rounds_lab import util
 from rounds_lab.util import (bernoulli, ceil_div, ceil_kth_root, ceil_log2,
                              normalized_weights, root_multiple_exceeds,
                              shuffled)
@@ -46,6 +47,12 @@ def test_ceil_kth_root_known():
 def test_ceil_log2(n):
     assert 2 ** ceil_log2(n) >= n
     assert ceil_log2(n) == 0 or 2 ** (ceil_log2(n) - 1) < n
+
+
+def test_ceil_log2_rejects_nonpositive():
+    for n in (0, -1):
+        with pytest.raises(ValueError):
+            ceil_log2(n)
 
 
 def test_bernoulli_edges():
@@ -102,6 +109,11 @@ def test_normalized_weights_rejects_bad():
 
 @given(st.integers(min_value=0, max_value=100), st.integers(min_value=1, max_value=5000),
        st.integers(min_value=1, max_value=12), st.integers(min_value=-5, max_value=10 ** 5))
+# c**2 * n within 9 of 10**42 = bound**2: 64 bits cannot tell, 128 can
+@example(3, 10 ** 42 // 9, 2, 10 ** 21)
+@example(3, 10 ** 42 // 9 + 1, 2, 10 ** 21)
+@example(7, 10 ** 42 // 49, 2, 10 ** 21)
+@example(7, 10 ** 42 // 49 + 1, 2, 10 ** 21)
 def test_root_multiple_exceeds_matches_integer_powers(c, n, k, bound):
     want = n * c ** k > bound ** k if c and bound >= 0 else 0 > bound
     assert root_multiple_exceeds(c, n, k, bound) == want
@@ -117,6 +129,26 @@ def test_root_multiple_exceeds_at_exact_roots_and_huge_k():
     assert not root_multiple_exceeds(10 ** 6, 3, 10 ** 6, 2 * 10 ** 6)
     assert root_multiple_exceeds(10 ** 6, 3, 10 ** 6, 10 ** 6 + 1)
     assert root_multiple_exceeds(3, 10 ** 400, 3, 10 ** 7)
+
+
+def test_root_multiple_exceeds_doubles_its_precision(monkeypatch):
+    """Where 64 bits leave n inside the bracket, the answer comes from a
+    second, 128-bit bracket, and it is the integer one."""
+    seen = []
+    bracket = util._fixed_power_bracket
+
+    def spy(lo, hi, k, bits, cap):
+        seen.append(bits)
+        return bracket(lo, hi, k, bits, cap)
+
+    monkeypatch.setattr(util, "_fixed_power_bracket", spy)
+    for c in (3, 7):
+        n = 10 ** 42 // (c * c)
+        for m, want in ((n, False), (n + 1, True)):
+            seen.clear()
+            assert root_multiple_exceeds(c, m, 2, 10 ** 21) is want
+            assert (c * c * m > 10 ** 42) is want
+            assert seen == [64, 128]
 
 
 @settings(deadline=None, max_examples=60)
