@@ -41,8 +41,8 @@ from numbers import Rational
 from operator import itemgetter
 
 from .oracle import (MalformedQuery, ProductBatch, RationalAnswers,
-                     Session as CakeSession, blocks_of, pairs_of, query_at,
-                     sorted_gather)
+                     Session as CakeSession, blocks_of, check_index, pairs_of,
+                     query_at, sorted_gather)
 from .util import ceil_kth_root, group_sizes, useful_rounds
 
 
@@ -247,12 +247,6 @@ def verify_proportional(allocation, agents):
     return ok, values
 
 
-def check_agent(agent, n):
-    """Raise MalformedQuery unless agent is an int in 1..n."""
-    if not (agent.__class__ is int and 1 <= agent <= n):
-        raise MalformedQuery("agent out of range: %r" % (agent,))
-
-
 def division_blocks(batch, n):
     """The blocks of `blocks_of(batch)` as (cut, agents, levels) triples,
     cut true for a `CutQuery` block and false for an `EvalQuery` one; each
@@ -266,7 +260,7 @@ def division_blocks(batch, n):
         if not cut and kind is not EvalQuery:
             raise MalformedQuery("unknown division query: %r"
                                  % (query_at(kind, agents[0], levels[0]),))
-        check_agent(agents[0], n)
+        check_index(agents[0], n, "agent")
         yield cut, agents, levels
 
 
@@ -309,7 +303,7 @@ class DensityBackend:
             ok = xs[:good]
             P, D, gather = _numerators(ok)
             for agent in ids:
-                check_agent(agent, n)
+                check_index(agent, n, "agent")
                 density = agents[agent - 1]
                 if density.__class__ is not PiecewiseDensity:
                     for y in map(density.cut if cut else density.prefix, ok):

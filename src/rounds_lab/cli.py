@@ -49,8 +49,7 @@ def build_parser():
     parser.add_argument("--trials", type=int, default=None,
                         help="sample count for mc mode (per-problem default)")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--mode", choices=("exact", "mc", "montecarlo"),
-                        default="exact")
+    parser.add_argument("--mode", choices=("exact", "mc"), default="exact")
     parser.add_argument("--out", default=None, metavar="FILE")
     parser.add_argument("--format", dest="fmt", choices=("csv", "svg"),
                         default="csv")
@@ -79,9 +78,6 @@ def main(argv=None):
         if args.cake_file:
             with open(args.cake_file) as fh:
                 agents = cake_mod.parse_cake_file(fh.read())
-            if len(agents) != config.n:
-                raise ValueError("file holds %d agents but --n is %d"
-                                 % (len(agents), config.n))
         elif args.save_cake:
             harness.check_cake_budget(config)  # before sampling or writing
             agents = harness.sample_cake_agents(config, 0)

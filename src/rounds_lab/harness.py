@@ -157,10 +157,8 @@ class ExperimentConfig:
         object.__setattr__(self, "p", Fraction(self.p))
         if not 0 <= self.p <= 1:
             raise ValueError("p must be in [0, 1]")
-        mode = {"montecarlo": "mc"}.get(self.mode, self.mode)
-        if mode not in ("exact", "mc"):
+        if self.mode not in ("exact", "mc"):
             raise ValueError("mode must be exact or mc")
-        object.__setattr__(self, "mode", mode)
         if self.n < 1 or self.k < 1:
             raise ValueError("n and k must be positive")
         if self.trials < 1:
@@ -579,7 +577,8 @@ def _render_svg(rows):
     if x_hi == x_lo:
         x_hi = x_lo + 1
     if y_hi == y_lo:
-        y_hi = y_lo + 1
+        # past 2**53 a plain + 1 is lost to rounding
+        y_hi = y_lo + max(1.0, abs(y_lo))
 
     def sx(x):
         return pad + (x - x_lo) / (x_hi - x_lo) * (width - 2 * pad)
@@ -623,12 +622,12 @@ _RENDERERS = {"csv": _render_csv, "svg": _render_svg}
 
 
 def emit_report(report, fmt="csv", out=None):
-    """Render a report as CSV rows or a self-contained SVG chart; writes to
-    `out` when given and always returns the rendered text."""
+    """Render a `BoundReport`'s rows as CSV or a self-contained SVG chart;
+    writes to `out` when given and always returns the rendered text."""
     render = _RENDERERS.get(fmt)
     if render is None:
         raise ValueError("unknown report format: %r" % (fmt,))
-    rows = list(report.rows) if isinstance(report, BoundReport) else list(report)
+    rows = list(report.rows)
     if not rows:
         raise IoFailure("refusing to write an empty report")
     text = render(rows)

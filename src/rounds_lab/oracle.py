@@ -24,7 +24,9 @@ backend reads a batch one way, as the (kind, items, levels) blocks that
 query. Neither form ever yields a block that asks nothing, as a
 `ProductBatch` keeps no such block, so no backend skips one itself. A
 malformed block raises what its first malformed query raises when the
-same queries are checked one at a time, item-major.
+same queries are checked one at a time, item-major, and every backend
+refuses an item, threshold or agent outside 1..n by one rule,
+`check_index`.
 
 A rank or comparison batch is answered with one `str`, one symbol (`<`,
 `=` or `>`) per query, so a round costs one byte per answer. The two rank
@@ -80,6 +82,14 @@ class RoundLimitExceeded(Exception):
 
 class MalformedQuery(Exception):
     pass
+
+
+def check_index(value, n, what):
+    """Raise MalformedQuery, naming `what`, unless value is an int in 1..n
+    (a bool or a float is refused): the one rule for the items,
+    thresholds and agents every backend is asked about."""
+    if not (value.__class__ is int and 1 <= value <= n):
+        raise MalformedQuery("%s out of range: %r" % (what, value))
 
 
 RankQuery = namedtuple("RankQuery", ["item", "threshold"])
@@ -238,8 +248,7 @@ def read_thresholds(ts, n, check, first):
     if ts.__class__ is range and ts.step > 0 and ts.start >= 1 and ts[-1] <= n:
         return ts, None
     prev = ts[0]
-    if not (prev.__class__ is int and 1 <= prev <= n):
-        raise MalformedQuery("threshold out of range: %r" % (prev,))
+    check_index(prev, n, "threshold")
     ascending = True
     for t in ts:
         if t.__class__ is int and prev <= t <= n:
@@ -248,7 +257,7 @@ def read_thresholds(ts, n, check, first):
             ascending = False
         else:
             check(first)
-            raise MalformedQuery("threshold out of range: %r" % (t,))
+            check_index(t, n, "threshold")  # raises
     return (ts, None) if ascending else sorted_gather(ts)
 
 
@@ -359,9 +368,8 @@ class HiddenInstance:
     def _rank(self, ref):
         """Rank of the item `ref` names: an index in 1..n, or TARGET."""
         if ref.__class__ is int:
-            if 1 <= ref <= len(self.ranks):
-                return self.ranks[ref - 1]
-            raise MalformedQuery("item index out of range: %r" % (ref,))
+            check_index(ref, len(self.ranks), "item index")
+            return self.ranks[ref - 1]
         if ref == TARGET:
             if self.target_index is None:
                 raise MalformedQuery("no promised element to refer to")

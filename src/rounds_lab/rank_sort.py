@@ -33,10 +33,11 @@ at every step and its n steps cost O(n**2), one symbol per probe asked.
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import partial
 from math import e
 
 from .oracle import (MalformedQuery, ProductBatch, RankQuery, Session,
-                     blocks_of, narrow, rank_run, read_thresholds)
+                     blocks_of, check_index, narrow, rank_run, read_thresholds)
 from .util import ceil_div, ceil_kth_root
 
 
@@ -71,14 +72,12 @@ def sort_rank(session, n, k):
         blocks[(1, n)] = list(range(1, n + 1))
     rounds_left = k
     while blocks and rounds_left >= 1:
-        probes = []  # (items, thresholds) per block, in submission order
-        plan = []  # (lo, hi, thresholds, items) per block, in the same order
+        plan = []  # (lo, hi, thresholds, items) per block, in submission order
         for (lo, hi), items in sorted(blocks.items()):
             assert len(items) == hi - lo + 1, "block size must match its span"
-            ts = block_thresholds(lo, hi, rounds_left)
-            probes.append((items, ts))
-            plan.append((lo, hi, ts, items))
-        answers = session.submit_round(ProductBatch(RankQuery, probes))
+            plan.append((lo, hi, block_thresholds(lo, hi, rounds_left), items))
+        answers = session.submit_round(
+            ProductBatch(RankQuery, ((items, ts) for _, _, ts, items in plan)))
         rounds_left -= 1
         blocks = _read_round(plan, answers, resolved)
     assert not blocks, "the round budget always suffices"
@@ -129,10 +128,7 @@ class AdversaryState:
         self.n = n
         self.resolved = {}  # item -> committed rank
         self.segments = []  # open Segments, disjoint
-        if n == 1:
-            self.resolved[1] = 1
-        elif n > 1:
-            self.segments.append(Segment(items=tuple(range(1, n + 1)), lo=1, hi=n))
+        _commit(self, range(1, n + 1), 1, n)
 
     def answer_batch(self, batch):
         """Answer one batch, as a `str` of symbols, while committing as
@@ -148,7 +144,7 @@ class AdversaryState:
         thresholds that did not ascend are gathered back into block order.
         """
         n = self.n
-        check = self._check_item
+        check = partial(check_index, n=n, what="item index")
         resolved = self.resolved
         segment_of = {item: seg for seg in self.segments for item in seg.items}
         out = []  # each (block, item)'s answers, in batch order
@@ -184,11 +180,6 @@ class AdversaryState:
             for slot in range(first, first + count):
                 out[slot] = "".join(gather(out[slot]))
         return "".join(out)
-
-    def _check_item(self, item):
-        """Raise MalformedQuery unless item is an int in 1..n."""
-        if not (item.__class__ is int and 1 <= item <= self.n):
-            raise MalformedQuery("item index out of range: %r" % (item,))
 
 
 def _commit(state, items, lo, hi):

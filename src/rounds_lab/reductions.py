@@ -35,10 +35,11 @@ from fractions import Fraction
 from itertools import groupby
 from operator import itemgetter
 
-from .cake import check_agent, check_allocation, division_blocks
+from .cake import check_allocation, division_blocks
 from .oracle import (LESS, GREATER, ComparisonQuery, MalformedQuery,
                      ProductBatch, RankQuery, RationalAnswers, Session, TARGET,
-                     blocks_of, compare, is_identity, is_permutation)
+                     blocks_of, check_index, compare, is_identity,
+                     is_permutation)
 
 
 _ZERO = Fraction(0)
@@ -217,7 +218,7 @@ class AdversaryCakeBackend:
             levels = list(map(self._cut_level if cut else self._eval_level, xs))
             grids = [i for i, _ in levels if i]
             for agent in agents:
-                check_agent(agent, n)
+                check_index(agent, n, "agent")
                 for i in grids:
                     key = (agent, i)
                     if key not in slots:

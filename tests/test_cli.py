@@ -36,7 +36,7 @@ def test_locate_exact_to_stdout(capsys):
 
 def test_fraction_and_mc_flags(capsys):
     code, out, _ = run_cli(capsys, "select", "--n", "20", "--k", "2",
-                           "--p", "1/2", "--mode", "montecarlo",
+                           "--p", "1/2", "--mode", "mc",
                            "--trials", "2000", "--seed", "7")
     assert code == 0
     row = parse_rows(out)[0]
@@ -62,6 +62,18 @@ def test_out_file_and_svg(tmp_path, capsys):
     assert code == 0
     assert stdout == ""  # nothing doubles to stdout when a file is given
     assert out.read_text().startswith("<svg")
+
+
+@pytest.mark.parametrize("p", ["1", "1/2"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("n", [2 ** 54, 2 ** 60])
+def test_svg_of_a_row_whose_values_round_to_one_float(capsys, n, k, p):
+    """Past 2**53 every value an exact select row plots rounds to the same
+    float, so the chart's y range must still open to a nonzero span."""
+    code, out, err = run_cli(capsys, "select", "--n", str(n), "--k", str(k),
+                             "--p", p, "--format", "svg")
+    assert (code, err) == (0, "")
+    assert out.startswith("<svg") and out.count("<circle") == 1
 
 
 def test_exit_codes(capsys):

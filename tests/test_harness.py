@@ -41,8 +41,10 @@ def test_budget_env(monkeypatch):
 
 
 def test_config_validation():
-    cfg = ExperimentConfig(problem="locate", n=4, k=2, mode="montecarlo")
+    cfg = ExperimentConfig(problem="locate", n=4, k=2, mode="mc")
     assert cfg.mode == "mc"
+    with pytest.raises(ValueError, match="mode must be exact or mc"):
+        ExperimentConfig(problem="locate", n=4, k=2, mode="montecarlo")
     with pytest.raises(ValueError):
         ExperimentConfig(problem="nope", n=4, k=2)
     with pytest.raises(ValueError):

@@ -13,7 +13,7 @@ from rounds_lab.harness import ExperimentConfig, run_experiment
 from rounds_lab.oracle import (EQUAL, GREATER, LESS, TARGET, ComparisonQuery,
                                HiddenInstance, MalformedQuery, ProductBatch,
                                RankQuery, RationalAnswers, RoundLimitExceeded,
-                               RoundTranscript, Session, compare,
+                               RoundTranscript, Session, check_index, compare,
                                is_identity, is_permutation, narrow,
                                open_session, pairs_of, random_ranks, rank_run)
 from rounds_lab.rank_sort import AdversaryState
@@ -86,6 +86,18 @@ def test_hidden_instance_refuses_a_malformed_block_in_the_opponents_order():
         with pytest.raises(MalformedQuery) as raised:
             inst.answer_batch(ProductBatch(RankQuery, [([2, 3, 4], [2, 5]), bad]))
         assert str(raised.value) == message
+
+
+def test_check_index_passes_1_to_n_and_names_what_it_refuses():
+    """The one index rule of every backend: an exact int in 1..n passes,
+    anything else raises a MalformedQuery that names what was asked for."""
+    check_index(1, 5, "agent")
+    check_index(5, 5, "agent")
+    for bad in (0, 6, True, 1.0, "3", None):
+        for what in ("item index", "threshold", "agent"):
+            with pytest.raises(MalformedQuery) as raised:
+                check_index(bad, 5, what)
+            assert str(raised.value) == "%s out of range: %r" % (what, bad)
 
 
 @st.composite
