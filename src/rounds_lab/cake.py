@@ -7,11 +7,11 @@ marks, and after the last round each agent keeps a slice worth at least
 1/n to her. All arithmetic is exact and the proportionality check carries
 no tolerance.
 
-Division queries go through the shared round-limited `Session` (exported
-here under its division name `CakeSession`); `DensityBackend` answers them
-from actual densities. It and `reductions.AdversaryCakeBackend` read a
-batch through one block reader, `division_blocks`, which hands over the
-blocks and judges each block's kind and first agent on reaching it.
+Division queries go through the shared round-limited `Session`;
+`DensityBackend` answers them from actual densities. It and
+`reductions.AdversaryCakeBackend` read a batch through one block reader,
+`division_blocks`, which hands over the blocks and judges each block's
+kind and first agent on reaching it.
 
 Answers are exact and cost no `Fraction`. A `PiecewiseDensity` keeps
 integer images of itself next to its public `Fraction` fields: breakpoints
@@ -40,9 +40,8 @@ from math import lcm
 from numbers import Rational
 from operator import itemgetter
 
-from .oracle import (MalformedQuery, ProductBatch, RationalAnswers,
-                     Session as CakeSession, blocks_of, check_index, pairs_of,
-                     query_at, sorted_gather)
+from .oracle import (MalformedQuery, ProductBatch, RationalAnswers, Session,
+                     blocks_of, check_index, pairs_of, query_at, sorted_gather)
 from .util import ceil_kth_root, group_sizes, useful_rounds
 
 
@@ -451,7 +450,7 @@ def proportional_protocol(agents, k):
     """Run the protocol on real densities; returns (Allocation, transcript)."""
     agents = tuple(agents)
     backend = DensityBackend(agents)
-    session = CakeSession(backend, max(k, 1))
+    session = Session(backend, max(k, 1))
     allocation = run_proportional(session, len(agents), k)
     return allocation, session.transcript()
 

@@ -11,10 +11,6 @@ from . import harness
 from .oracle import MalformedQuery
 from .reductions import NotProportional, ProtocolNotPrimitive
 
-DEFAULT_TRIALS = {"locate": 100_000, "select": 100_000,
-                  "sort": 100, "cake": 100, "reduce": 100,
-                  "bounds": 1, "brute": 1}
-
 KNOWN_ERRORS = (harness.InfeasibleExact, harness.SearchSpaceTooLarge,
                 harness.IoFailure, harness.OverBudget,
                 cake_mod.MalformedAllocation,
@@ -51,7 +47,7 @@ def build_parser():
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--mode", choices=("exact", "mc"), default="exact")
     parser.add_argument("--out", default=None, metavar="FILE")
-    parser.add_argument("--format", dest="fmt", choices=("csv", "svg"),
+    parser.add_argument("--format", dest="fmt", choices=harness.RENDERERS,
                         default="csv")
     # a run either reads its agents or samples and saves them, not both
     cake_source = parser.add_mutually_exclusive_group()
@@ -64,16 +60,13 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    trials = args.trials
-    if trials is None:
-        trials = DEFAULT_TRIALS[args.problem]
     if (args.cake_file or args.save_cake) and args.problem != "cake":
         print("cake options only apply to the cake problem", file=sys.stderr)
         return 2
     try:
         config = harness.ExperimentConfig(
             problem=args.problem, n=args.n, k=args.k, p=args.p,
-            trials=trials, seed=args.seed, mode=args.mode)
+            trials=args.trials, seed=args.seed, mode=args.mode)
         agents = None
         if args.cake_file:
             with open(args.cake_file) as fh:

@@ -23,7 +23,6 @@ from .util import ceil_div, ceil_kth_root, root_multiple_exceeds, useful_rounds
 DEFAULT_BUDGET = 10 ** 7
 BUDGET_ENV = "ROUNDS_LAB_BUDGET"
 
-PROBLEMS = ("locate", "select", "sort", "cake", "reduce", "bounds", "brute")
 
 class InfeasibleExact(Exception):
     pass
@@ -147,13 +146,15 @@ class ExperimentConfig:
     n: int
     k: int
     p: Fraction = Fraction(1)
-    trials: int = 100_000
+    trials: int = None  # None takes the problem's default from PROBLEMS
     seed: int = 0
     mode: str = "exact"
 
     def __post_init__(self):
         if self.problem not in PROBLEMS:
             raise ValueError("unknown problem: %r" % (self.problem,))
+        if self.trials is None:
+            object.__setattr__(self, "trials", PROBLEMS[self.problem][1])
         object.__setattr__(self, "p", Fraction(self.p))
         if not 0 <= self.p <= 1:
             raise ValueError("p must be in [0, 1]")
@@ -212,7 +213,7 @@ def _guard(cfg, cost, kk=1, once=(0, 0), runs=()):
             % (cfg.problem, budget, BUDGET_ENV))
     if not exact and cfg.n > sys.maxsize:
         # a sampled trial takes len() of its instance, which stops at
-        # sys.maxsize; ROADMAP direction 5 lifts this limit
+        # sys.maxsize; ROADMAP direction 3 lifts this limit
         raise ValueError("a sampled %s run takes n up to %d"
                          % (cfg.problem, sys.maxsize))
 
@@ -394,12 +395,12 @@ def _run_cake(cfg, fixed_agents=None):
     if cfg.mode == "exact" and fixed_agents is None:
         raise InfeasibleExact("division instances admit no finite enumeration")
     check_cake_budget(cfg)
+    if fixed_agents is not None and len(fixed_agents) != n:
+        raise ValueError("instance has %d agents, expected %d" % (len(fixed_agents), n))
     instances = ((fixed_agents,) if fixed_agents is not None else
                  (sample_cake_agents(cfg, t) for t in range(cfg.trials)))
 
     def trial(agents):
-        if len(agents) != n:
-            raise ValueError("instance has %d agents, expected %d" % (len(agents), n))
         allocation, tx = cake_mod.proportional_protocol(agents, k)
         return tx.total_queries, cake_mod.verify_proportional(allocation, agents)[0]
 
@@ -512,14 +513,16 @@ def _run_brute(cfg):
     return rows
 
 
-_RUNNERS = {
-    "locate": _run_locate,
-    "select": _run_select,
-    "sort": _run_sort,
-    "cake": _run_cake,
-    "reduce": _run_reduce,
-    "bounds": _run_bounds,
-    "brute": _run_brute,
+# each problem's runner and default trial count, in the CLI's order;
+# bounds and brute run no sampled trials and never read the count
+PROBLEMS = {
+    "locate": (_run_locate, 100_000),
+    "select": (_run_select, 100_000),
+    "sort": (_run_sort, 100),
+    "cake": (_run_cake, 100),
+    "reduce": (_run_reduce, 100),
+    "bounds": (_run_bounds, 1),
+    "brute": (_run_brute, 1),
 }
 
 
@@ -533,7 +536,7 @@ def run_experiment(config, fixed_cake_agents=None):
             raise ValueError("fixed instances only apply to the cake problem")
         rows = _run_cake(config, fixed_agents=fixed_cake_agents)
     else:
-        rows = _RUNNERS[config.problem](config)
+        rows = PROBLEMS[config.problem][0](config)
     return BoundReport(config=config, rows=tuple(rows))
 
 
@@ -618,13 +621,13 @@ def _render_svg(rows):
     return "\n".join(parts) + "\n"
 
 
-_RENDERERS = {"csv": _render_csv, "svg": _render_svg}
+RENDERERS = {"csv": _render_csv, "svg": _render_svg}
 
 
 def emit_report(report, fmt="csv", out=None):
     """Render a `BoundReport`'s rows as CSV or a self-contained SVG chart;
     writes to `out` when given and always returns the rendered text."""
-    render = _RENDERERS.get(fmt)
+    render = RENDERERS.get(fmt)
     if render is None:
         raise ValueError("unknown report format: %r" % (fmt,))
     rows = list(report.rows)

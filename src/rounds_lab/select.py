@@ -116,5 +116,9 @@ def query_moments(schedule):
 
 
 def exact_expected_queries(schedule):
-    """Expected query count of select_det over a uniform target, exactly."""
-    return query_moments(schedule)[0]
+    """Expected query count of select_det over a uniform target, exactly:
+    query_moments' first moment, without the second."""
+    sizes = schedule.round_sizes
+    issued = sum(sizes)
+    landed = sum(map(mul, sizes, accumulate(sizes)))
+    return Fraction(landed + (schedule.n - issued) * issued, schedule.n)

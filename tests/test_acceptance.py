@@ -11,11 +11,11 @@ import random
 from collections import defaultdict
 from fractions import Fraction
 
-from rounds_lab.cake import (CakeSession, DensityBackend, random_density,
-                             run_proportional, verify_proportional)
+from rounds_lab.cake import (DensityBackend, random_density, run_proportional,
+                             verify_proportional)
 from rounds_lab.harness import bounds, brute_force_select
 from rounds_lab.locate import locate_det
-from rounds_lab.oracle import HiddenInstance, open_session, random_ranks
+from rounds_lab.oracle import HiddenInstance, Session, open_session, random_ranks
 from rounds_lab.rank_sort import forced_query_count, sort_rank
 from rounds_lab.reductions import (ordered_to_locate_adapter, run_reduction,
                                    unordered_to_select_adapter)
@@ -155,7 +155,7 @@ def test_acceptance_6_cake_proportionality():
             for t in range(50):
                 rng = random.Random(n * 10_000 + k * 1000 + t)
                 agents = [random_density(rng) for _ in range(n)]
-                session = CakeSession(DensityBackend(agents), k)
+                session = Session(DensityBackend(agents), k)
                 allocation = run_proportional(session, n, k)
                 fair, _ = verify_proportional(allocation, agents)
                 tr = session.transcript()

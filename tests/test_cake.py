@@ -4,13 +4,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rounds_lab.cake import (Allocation, CakeSession, CutQuery, DensityBackend,
-                             EvalQuery, MalformedAllocation, PiecewiseDensity,
+from rounds_lab.cake import (Allocation, CutQuery, DensityBackend, EvalQuery,
+                             MalformedAllocation, PiecewiseDensity,
                              assign_subcakes, format_cake_file,
                              parse_cake_file, proportional_protocol,
                              random_density, run_proportional,
                              verify_proportional)
-from rounds_lab.oracle import MalformedQuery, RankQuery
+from rounds_lab.oracle import MalformedQuery, RankQuery, Session
 from rounds_lab.util import group_sizes
 from conftest import mark_rows
 
@@ -45,7 +45,7 @@ def test_eval_and_cut():
 def test_density_backend_rejects_malformed_queries():
     half = PiecewiseDensity((0, 1), (1,))
     left = PiecewiseDensity((0, F("1/2"), 1), (2, 0))
-    sess = CakeSession(DensityBackend([half, left]), 2)
+    sess = Session(DensityBackend([half, left]), 2)
     assert tuple(sess.submit_round([CutQuery(2, F("1/2")), EvalQuery(1, F("1/4"))])) \
         == (F("1/4"), F("1/4"))
     for bad in (CutQuery(0, F("1/2")), CutQuery(3, F("1/2")),
@@ -60,7 +60,7 @@ def test_density_backend_rejects_malformed_queries():
 def test_density_backend_rejects_values_outside_the_unit_interval():
     """A cut argument or eval point that is not a rational in [0, 1] is a
     malformed query: the whole batch is refused and no round is used."""
-    sess = CakeSession(DensityBackend([UNIFORM, UNIFORM]), 2)
+    sess = Session(DensityBackend([UNIFORM, UNIFORM]), 2)
     for bad in (CutQuery(1, F("3/2")), CutQuery(2, F("-1/4")), CutQuery(1, None),
                 CutQuery(1, 0.5), CutQuery(1, "1/2"), EvalQuery(1, 2),
                 EvalQuery(2, F("-1/3")), EvalQuery(1, None), EvalQuery(1, 0.25)):
@@ -138,7 +138,7 @@ def test_single_agent_takes_everything():
 
 def test_run_proportional_rejects_bad_arguments():
     for n, k in ((0, 1), (1, 0)):
-        session = CakeSession(DensityBackend([UNIFORM]), 1)
+        session = Session(DensityBackend([UNIFORM]), 1)
         with pytest.raises(ValueError):
             run_proportional(session, n, k)
         assert session.rounds_used == 0

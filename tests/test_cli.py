@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -110,6 +111,29 @@ def test_failing_row_exits_one(capsys, monkeypatch):
     assert code == 1
     assert parse_rows(out)[0]["pass"] == "false"
 
+
+@pytest.mark.parametrize("problem, trials", [
+    ("locate", 100_000), ("select", 100_000), ("sort", 100), ("cake", 100),
+    ("reduce", 100)])
+def test_sampled_run_without_trials_takes_the_problem_default(
+        capsys, monkeypatch, problem, trials):
+    """--mode mc without --trials leaves the count to the config, which
+    takes the problem's default; the spy caps a run at 100 trials, so the
+    100-trial defaults run as they are and no 100,000-trial row runs."""
+    real = harness.run_experiment
+    seen = []
+
+    def spy(config, fixed_cake_agents=None):
+        seen.append(config.trials)
+        return real(replace(config, trials=min(config.trials, 100)),
+                    fixed_cake_agents=fixed_cake_agents)
+
+    monkeypatch.setattr(harness, "run_experiment", spy)
+    code, out, err = run_cli(capsys, problem, "--n", "4", "--k", "2",
+                             "--mode", "mc")
+    assert (code, err) == (0, "")
+    assert seen == [trials]
+    assert parse_rows(out)[0]["trials"] == str(min(trials, 100))
 
 def test_cake_save_and_reload(tmp_path, capsys):
     path = tmp_path / "inst.cake"

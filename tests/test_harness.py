@@ -57,6 +57,17 @@ def test_config_validation():
         ExperimentConfig(problem="locate", n=4, k=2, trials=0)
 
 
+
+@pytest.mark.parametrize("problem, trials", [
+    ("locate", 100_000), ("select", 100_000), ("sort", 100), ("cake", 100),
+    ("reduce", 100), ("bounds", 1), ("brute", 1)])
+def test_each_problem_has_its_default_trial_count(problem, trials):
+    """A config without trials takes its problem's default; one with
+    trials keeps them."""
+    assert ExperimentConfig(problem=problem, n=4, k=2).trials == trials
+    assert ExperimentConfig(problem=problem, n=4, k=2, mode="mc",
+                            trials=7).trials == 7
+
 def run(problem, **kw):
     kw.setdefault("n", 10)
     kw.setdefault("k", 2)

@@ -8,8 +8,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rounds_lab.cake import (CakeSession, CutQuery, DensityBackend, EvalQuery,
-                             random_density, run_proportional)
+from rounds_lab.cake import (CutQuery, DensityBackend, EvalQuery, random_density,
+                             run_proportional)
 from rounds_lab.locate import locate_det, locate_det_subset
 from rounds_lab.oracle import (TARGET, ComparisonQuery, HiddenInstance,
                                MalformedQuery, ProductBatch, RankQuery, Session)
@@ -260,7 +260,7 @@ def test_duck_typed_densities_are_only_asked_for_cuts():
     agents = agent_densities(11, 9)
     log = []
     proxies = [CutOnly(d, log) for d in agents]
-    sessions = [CakeSession(DensityBackend(a), 2) for a in (agents, proxies)]
+    sessions = [Session(DensityBackend(a), 2) for a in (agents, proxies)]
     allocations = [run_proportional(s, 9, 2) for s in sessions]
     assert allocations[0] == allocations[1]
     assert sessions[0].transcript() == sessions[1].transcript()
@@ -450,7 +450,7 @@ def test_no_answer_path_iterates_a_batch(monkeypatch):
     assert sort_rank(Session(HiddenInstance(ranks), k), n, k) == ranks
     assert sort_rank(Session(AdversaryState(n), k), n, k)
     agents = agent_densities(7, n)
-    run_proportional(CakeSession(DensityBackend(agents), k), n, k)
+    run_proportional(Session(DensityBackend(agents), k), n, k)
     got = run_reduction(lambda s, m: run_proportional(s, m, k), n,
                         Session(HiddenInstance(ranks), k))
     assert got[0] == ranks

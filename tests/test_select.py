@@ -97,6 +97,19 @@ def test_query_moments_match_target_enumeration(n):
                 Fraction(sum(counts), n), Fraction(sum(c * c for c in counts), n))
 
 
+
+def test_expected_queries_is_the_first_moment():
+    """exact_expected_queries sums the first moment on its own; it equals
+    query_moments' first moment for every k up to n, at p = 0, at p below
+    1/n (an all-zero schedule) and at p up to 1."""
+    for n in range(1, 25):
+        ps = {Fraction(0), Fraction(1, 2 * n), Fraction(1, n), Fraction(1, 3),
+              Fraction(1, 2), Fraction(3, 4), Fraction(1)}
+        for k in range(1, n + 1):
+            for p in ps:
+                sched = build_schedule(n, k, p)
+                assert exact_expected_queries(sched) == query_moments(sched)[0]
+
 # The Fraction formulas that the integer schedule and expectation replaced,
 # kept as the reference for the differential test.
 
