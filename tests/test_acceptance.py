@@ -135,10 +135,10 @@ def test_acceptance_5_sorting():
     report(5, "sorting is exact, under 2k*n**(1+1/k), over the forced floor", ok)
 
 
-def group_populations(tr, queries_round):
-    """Sizes of the agent groups implied by one transcript round."""
+def group_populations(queries):
+    """Sizes of the agent groups implied by one round's queries."""
     alphas = defaultdict(list)
-    for q, _ in queries_round:
+    for q in queries:
         a = q.alpha
         alphas[q.agent].append((a.numerator, a.denominator))
     sizes = defaultdict(int)
@@ -159,11 +159,14 @@ def test_acceptance_6_cake_proportionality():
                 allocation = run_proportional(session, n, k)
                 fair, _ = verify_proportional(allocation, agents)
                 tr = session.transcript()
-                if not fair or tr.total_queries > cap or len(tr.rounds) > k:
+                # the queries alone: reading tr.rounds would build a
+                # Fraction for every answer
+                rounds = len(tr.round_sizes)
+                if not fair or tr.total_queries > cap or rounds > k:
                     ok = False
-                for j in range(1, len(tr.rounds)):
+                for j in range(1, rounds):
                     limit = ceil_kth_root(n ** (k - j), k)
-                    pops = group_populations(tr, tr.rounds[j])
+                    pops = group_populations(tr.batches[j][0])
                     if pops and max(pops) > limit:
                         ok = False
     report(6, "division always proportional, on budget, populations on schedule", ok)

@@ -12,12 +12,14 @@ import random
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
+from rounds_lab import cake
 from rounds_lab.cake import (Allocation, CutQuery, DensityBackend, EvalQuery,
                              PiecewiseDensity, assign_subcakes,
                              parse_cake_file, proportional_protocol,
                              random_density, verify_proportional)
-from rounds_lab.oracle import MalformedQuery, ProductBatch, pairs_of
-from rounds_lab.reductions import AdversaryCakeInstance
+from rounds_lab.oracle import (HiddenInstance, MalformedQuery, ProductBatch,
+                               Session, pairs_of, random_ranks)
+from rounds_lab.reductions import AdversaryCakeBackend, AdversaryCakeInstance
 from conftest import grid_point, mark_rows
 
 
@@ -203,12 +205,13 @@ def test_assign_subcakes_matches_reference_sort():
     for trial in range(600):
         m = rng.randint(1, 12)
         width = rng.randint(1, 4)
+        # each row ascends, as a density's cuts at ascending levels do
         if trial % 3:
-            marks = {a: [rng.choice(pool) for _ in range(width)]
+            marks = {a: sorted(rng.choice(pool) for _ in range(width))
                      for a in rng.sample(range(1, 40), m)}
         else:
-            marks = {a: [Fraction(rng.randint(0, 6), rng.randint(1, 6)) % 1
-                         for _ in range(width)]
+            marks = {a: sorted(Fraction(rng.randint(0, 6), rng.randint(1, 6)) % 1
+                               for _ in range(width))
                      for a in rng.sample(range(1, 40), m)}
         parts = width + 1
         cuts = sorted(rng.sample(range(1, m + parts), parts - 1))
@@ -222,6 +225,90 @@ def test_assign_subcakes_matches_reference_sort():
             got = assign_subcakes(*mark_rows(marks, scale), targets)
             assert got == want, (marks, targets)
             assert all(cut.__class__ is Fraction for cut in got[0])
+
+
+def _protocol_calls(protocol):
+    """Run protocol() and return every `assign_subcakes` call it made, as
+    (rows, nums, dens, targets, result)."""
+    calls = []
+    real = cake.assign_subcakes
+
+    def spy(rows, nums, dens, targets):
+        got = real(rows, nums, dens, targets)
+        calls.append((rows, nums, dens, targets, got))
+        return got
+    cake.assign_subcakes = spy
+    try:
+        protocol()
+    finally:
+        cake.assign_subcakes = real
+    return calls
+
+
+def test_assign_subcakes_matches_reference_on_protocol_rows():
+    """The rows `run_proportional` builds at n in {64, 128, 256} and
+    k in {1, 2, 3}, over seeded agents and copies of some of them, so that
+    tie classes form; then again with some agents' pairs each scaled by its
+    own factor, some past a float's 53 bits, so that equal marks have
+    different pairs."""
+    for n in (64, 128, 256):
+        for k in (1, 2, 3):
+            rng = random.Random(n * 10 + k)
+            agents = [random_density(rng) for _ in range(n - n // 8)]
+            agents += [rng.choice(agents) for _ in range(n // 8)]
+            rng.shuffle(agents)
+            calls = _protocol_calls(lambda: proportional_protocol(agents, k))
+            assert calls
+            for rows, nums, dens, targets, got in calls:
+                width = len(targets) - 1
+                marks = {agent: [Fraction(nums[r + j], dens[r + j])
+                                 for j in range(width)]
+                         for agent, r in rows.items()}
+                want = reference_assign_subcakes(marks, targets)
+                assert got == want, (n, k, targets)
+                nums, dens = list(nums), list(dens)
+                for r in rows.values():
+                    if rng.random() < 0.3:
+                        for j in range(r, r + width):
+                            f = rng.choice((2, 3, 10 ** 6, 2 ** 70 + 1))
+                            nums[j] *= f
+                            dens[j] *= f
+                assert assign_subcakes(rows, nums, dens, targets) == want, (n, k)
+
+
+def _ascends(nums, dens):
+    """Whether the rationals nums[i] / dens[i] never descend (dens > 0)."""
+    return all(a * d <= c * b for a, b, c, d in zip(nums, dens, nums[1:], dens[1:]))
+
+
+def test_density_cuts_never_descend_along_levels():
+    """`assign_subcakes` needs each agent's marks not to descend: a
+    density's cuts at ascending levels never do, over every shape of
+    `_densities()` (zero plateaus, large coprime denominators) and the
+    cake-file densities, at every prefix mass and between, and at j/n."""
+    densities = _densities() + _cake_file_densities()
+    for d in densities:
+        _, alphas = _probes(d, reference_cum(d.breakpoints, d.heights))
+        for levels in (sorted(alphas), [Fraction(j, 97) for j in range(98)]):
+            nums, dens = pairs_of(DensityBackend([d]).answer_batch(
+                ProductBatch(CutQuery, [((1,), levels)])))
+            assert _ascends(nums, dens), d
+
+
+def test_adversary_cuts_never_descend_along_levels():
+    """The same for the lazy adversary: every agent's cuts at 0, 1/n, ...,
+    1 ascend, on seeded hidden permutations up to n = 48."""
+    rng = random.Random(48)
+    for n in list(range(1, 13)) + [16, 24, 32, 48]:
+        for _ in range(3):
+            backend = AdversaryCakeBackend(
+                n, Session(HiddenInstance(random_ranks(n, rng)), 1))
+            levels = [Fraction(i, n) for i in range(n + 1)]
+            nums, dens = pairs_of(backend.answer_batch(
+                ProductBatch(CutQuery, [(range(1, n + 1), levels)])))
+            for a in range(n):
+                row = slice(a * (n + 1), (a + 1) * (n + 1))
+                assert _ascends(nums[row], dens[row]), (n, a)
 
 
 def _cake_file_densities():
