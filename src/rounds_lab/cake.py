@@ -28,14 +28,13 @@ way into a `RationalAnswers` block; `cut` and `prefix` are the one-level
 case, wrapped in one `Fraction`.
 `run_proportional` reads the marks as integer pairs: `assign_subcakes`
 orders them by float first, settles float ties by cross-multiplication,
-and builds a `Fraction` only for each boundary it picks. A column that
-takes one agent, as every column of a last round does, picks her lazily
-from a heap of tie classes, agents whose pairs agree in every column left.
-An agent's marks never descend along her row, since a density's cut at a
-higher level is never to the left, so a key read at an earlier column is
-a lower bound and only a key that reaches the top is read again: at k = 1
-over 256 random agents, about 2,500 of the 32,640 marks a column scan
-reads.
+and builds a `Fraction` only for each boundary it picks. Every column
+pops its agents lazily from one heap of tie classes, agents whose pairs
+agree in every column left. An agent's marks never descend along her
+row, since a density's cut at a higher level is never to the left, so a
+key read at an earlier column is a lower bound and only a key that
+reaches the top is read again: at k = 1 over 256 random agents, about
+2,500 of the 32,640 marks a column scan reads.
 """
 
 from bisect import bisect_left, bisect_right
@@ -344,34 +343,31 @@ def assign_subcakes(rows, nums, dens, targets):
     dens[row + j] <= nums[row + j + 1] / dens[row + j + 1], as a density's
     cuts at ascending levels never do; `assign_subcakes` does not check it.
 
-    A column that takes several agents sorts their marks. A run of columns
-    that take one agent each picks lazily from a heap of tie classes.
+    Each column pops its agents one at a time from one heap of tie classes.
     Agents whose pairs agree in every column left tie in every column, and
-    the lower id wins, so a class is one entry: (float of its mark, column
-    it was read at, front agent, row, the other members in descending id).
-    By the precondition a key read at an earlier column is a lower bound of
-    the class's mark, so only a key that reaches the top is read again, and
-    a stale key sorts ahead of a fresh one with the same float. A fresh top
-    is then at most every other mark, and only fresh entries can tie it as
-    a float; `_settle_tie` orders those exactly and forms the classes, so a
-    group without ties pays nothing for them.
+    the lower id goes first, so a class is one entry: (float of its mark,
+    column it was read at, front agent, row, the other members in
+    descending id). By the precondition a key read at an earlier column is
+    a lower bound of the class's mark, so only a key that reaches the top
+    is read again, and a stale key sorts ahead of a fresh one with the same
+    float. A fresh top is then at most every other mark, and only fresh
+    entries can tie it as a float; `_settle_tie` orders those exactly and
+    forms the classes, so a group without ties pays nothing for them.
     """
     assert sum(targets) == len(rows)
-    unassigned = list(rows.items())  # (agent, row) pairs
-    heap = None  # the tie classes, while columns take one agent each
     width = len(targets) - 1
+    if not width:
+        return [], [sorted(rows)]
+    # floats lead: int / int rounds the exact quotient to nearest, which
+    # is monotone, so a float can never invert an exact order, only tie
+    # -- and a tie falls through to the exact mark, then to the agent id
+    heap = [(nums[r] / dens[r], 0, agent, r, ()) for agent, r in rows.items()]
+    heapify(heap)
     cuts = []
     groups = []
     for j in range(width):
-        want = targets[j]
-        # floats lead: int / int rounds the exact quotient to nearest, which
-        # is monotone, so a float can never invert an exact order, only tie
-        # -- and a tie falls through to the exact mark, then to the agent id
-        if want == 1:
-            if heap is None:
-                heap = [(nums[r + j] / dens[r + j], j, agent, r, ())
-                        for agent, r in unassigned]
-                heapify(heap)
+        group = []
+        for _ in range(targets[j]):
             f, seen, agent, r, others = heap[0]
             while seen != j:
                 heapreplace(heap, (nums[r + j] / dens[r + j], j, agent, r, others))
@@ -379,47 +375,25 @@ def assign_subcakes(rows, nums, dens, targets):
             top = heappop(heap)
             if heap and heap[0][0] == f:
                 f, seen, agent, r, others = _settle_tie(heap, top, nums, dens, j, width)
-            groups.append([agent])
+            group.append(agent)
             if others:
                 heappush(heap, (f, j, others.pop(), r, others))
-        else:
-            if heap is not None:
-                unassigned, heap = _members(heap), None
-            col = [nums[r + j] / dens[r + j] for _, r in unassigned]
-            order = sorted(range(len(col)), key=col.__getitem__)
-            # only the float tie around the last agent taken can change who
-            # is taken or which mark is the boundary
-            edge = col[order[want - 1]]
-            lo, hi = want - 1, want
-            while lo and col[order[lo - 1]] == edge:
-                lo -= 1
-            while hi < len(order) and col[order[hi]] == edge:
-                hi += 1
-            if hi - lo > 1:
-                order[lo:hi] = _exact_order(order[lo:hi], unassigned, nums, dens, j)
-            agent, r = unassigned[order[want - 1]]
-            groups.append(sorted(unassigned[i][0] for i in order[:want]))
-            unassigned = [unassigned[i] for i in order[want:]]
+        group.sort()
+        groups.append(group)
         cuts.append(Fraction(nums[r + j], dens[r + j]))
-    if heap is not None:
-        unassigned = _members(heap)
-    groups.append(sorted([agent for agent, _ in unassigned]))
+    groups.append(sorted([agent for _, _, front, _, others in heap
+                          for agent in (front, *others)]))
     return cuts, groups
 
 
-def _members(heap):
-    """The (agent, row) pairs of an `assign_subcakes` heap's classes."""
-    return [(agent, r) for _, _, front, r, others in heap
-            for agent in (front, *others)]
-
-
 def _settle_tie(heap, top, nums, dens, j, width):
-    """The winner of column j, given the fresh entry `top` just popped from
-    an `assign_subcakes` heap whose top ties it as a float. Pops every
-    entry that ties it, all fresh and in ascending front id; the winner is
-    the lowest exact mark by cross-multiplication, then the lowest id. An
-    entry whose pairs agree with the winner's in columns j..width-1 joins
-    its class, members in ascending id; every other entry goes back."""
+    """The next agent column j takes, given the fresh entry `top` just
+    popped from an `assign_subcakes` heap whose top ties it as a float.
+    Pops every entry that ties it, all fresh and in ascending front id; the
+    next agent is the lowest exact mark by cross-multiplication, then the
+    lowest id. An entry whose pairs agree with hers in columns
+    j..width-1 joins her class, members in ascending id; every other
+    entry goes back."""
     f = top[0]
     tied = [top]
     while heap and heap[0][0] == f:
@@ -447,19 +421,6 @@ def _settle_tie(heap, top, nums, dens, j, width):
             heappush(heap, e)
     members.sort()
     return f, j, members[0], r, members[:0:-1]
-
-
-def _exact_order(tie, entries, nums, dens, j):
-    """The positions `tie` of (agent, row) entries whose j-th marks round to
-    the same float, by exact mark and then agent id. Marks that are equal
-    (by cross-multiplication) are ordered by agent id alone; only marks
-    that differ become `Fraction`s."""
-    marks = [(nums[entries[i][1] + j], dens[entries[i][1] + j]) for i in tie]
-    p, q = marks[0]
-    if all(a * q == p * b for a, b in marks):
-        return sorted(tie, key=lambda i: entries[i][0])
-    exact = {i: Fraction(a, b) for i, (a, b) in zip(tie, marks)}
-    return sorted(tie, key=lambda i: (exact[i], entries[i][0]))
 
 
 def run_proportional(session, n, k):

@@ -493,23 +493,26 @@ def brute_force_locate(n, k):
 
 
 def _run_brute(cfg):
-    n, k = cfg.n, cfg.k
-    small_select, small_locate = n <= 5 and k <= 2, n <= 32 and k <= 3
-    if not (small_select or small_locate):
+    n, k, p = cfg.n, cfg.k, cfg.p
+    rows = []
+    # each search enforces its own exhaustive guard; a row is skipped when
+    # its guard refuses, and the run only when both do. Bounds come after
+    # a search, so a refused run never reaches their floats
+    for problem, search in (("brute_select", partial(brute_force_select, n, k, p)),
+                            ("brute_locate", partial(brute_force_locate, n, k))):
+        try:
+            opt = search()
+        except SearchSpaceTooLarge:
+            continue
+        b = bounds(n, k, p)
+        check = (_within("optimum", opt, b["thm2_lo"], b["thm2_hi"])
+                 if problem == "brute_select"
+                 else _at_most("optimum", opt, k * ceil_kth_root(n, k)))
+        rows.append(_row(cfg, b, 1, float(opt), 0.0, None, (check,),
+                         problem=problem))
+    if not rows:
         raise SearchSpaceTooLarge(
             "n=%d k=%d is outside both exhaustive guards" % (n, k))
-    b = bounds(n, k, cfg.p)
-    rows = []
-    if small_select:
-        opt = brute_force_select(n, k, cfg.p)
-        rows.append(_row(cfg, b, 1, float(opt), 0.0, None,
-                         (_within("optimum", opt, b["thm2_lo"], b["thm2_hi"]),),
-                         problem="brute_select"))
-    if small_locate:
-        opt = brute_force_locate(n, k)
-        rows.append(_row(cfg, b, 1, float(opt), 0.0, None,
-                         (_at_most("optimum", opt, k * ceil_kth_root(n, k)),),
-                         problem="brute_locate"))
     return rows
 
 

@@ -87,6 +87,22 @@ def test_exit_codes(capsys):
     assert code == 2 and "ValueError" in err
 
 
+def test_brute_runs_each_search_under_its_own_guard(capsys):
+    # n = 1, k = 2 is inside select's guard, whose k <= n rule refuses it
+    code, out, err = run_cli(capsys, "brute", "--n", "1", "--k", "2")
+    assert (code, out, err) == (2, "", "ValueError: k must be in 1..n\n")
+    # at k = 3 select's guard skips its row and locate's admits n = 1
+    code, out, err = run_cli(capsys, "brute", "--n", "1", "--k", "3")
+    assert (code, err) == (0, "")
+    rows = parse_rows(out)
+    assert [row["problem"] for row in rows] == ["brute_locate"]
+    assert (rows[0]["mean_queries"], rows[0]["pass"]) == ("0.0", "true")
+    # outside both guards the run is refused before bounds(), whose floats
+    # overflow at this n
+    code, out, err = run_cli(capsys, "brute", "--n", str(10 ** 400), "--k", "1")
+    assert (code, out) == (2, "") and err.startswith("SearchSpaceTooLarge: ")
+
+
 def test_locate_with_p_zero_asks_nothing_and_passes(capsys):
     for mode in ("exact", "mc"):
         code, out, err = run_cli(capsys, "locate", "--n", "5", "--k", "3",

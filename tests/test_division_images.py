@@ -225,6 +225,12 @@ def test_assign_subcakes_matches_reference_sort():
             got = assign_subcakes(*mark_rows(marks, scale), targets)
             assert got == want, (marks, targets)
             assert all(cut.__class__ is Fraction for cut in got[0])
+    # one target and no column: every agent in one group, and nums and dens
+    # are empty, so reading any mark would raise
+    for m in (1, 2, 7):
+        marks = {a: [] for a in rng.sample(range(1, 40), m)}
+        got = assign_subcakes(*mark_rows(marks), [m])
+        assert got == reference_assign_subcakes(marks, [m]) == ([], [sorted(marks)])
 
 
 def _protocol_calls(protocol):
